@@ -31,6 +31,7 @@ from .arith import (
     primes_upto,
     spf_sieve,
     v,
+    v_progression,
     v_segment,
 )
 from .digits import DigitVector, digit, from_digits, length, reverse, to_digits
@@ -103,6 +104,7 @@ __all__ = [
     "spf_sieve",
     "to_digits",
     "v",
+    "v_progression",
     "v_segment",
     "verify_characterization",
 ]

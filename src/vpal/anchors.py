@@ -93,11 +93,30 @@ _CHECKPOINT_FORMAT = "vpal-anchor-search"
 _CHECKPOINT_VERSION = 1
 
 
-def _result_from_record(rec: dict) -> AnchorResult:
+_STATUSES = ("prime", "composite", "probable_prime")
+
+
+def _verdict_from_record(rec: dict, side: str, rounds: int) -> PrimalityVerdict:
+    status, certainty = rec[f"{side}_status"], rec[f"{side}_certainty"]
+    if status not in _STATUSES:
+        raise ValueError(f"unknown {side}_status {status!r}")
+    expected = rounds if status == "probable_prime" else 0
+    if type(certainty) is not int or certainty != expected:
+        raise ValueError(
+            f"{side}_certainty {certainty!r} does not fit status {status!r}"
+        )
+    return PrimalityVerdict(status, certainty)
+
+
+def _result_from_record(rec: dict, rounds: int) -> AnchorResult:
     m = rec["m"]
+    if type(m) is not int or m < 1:
+        raise ValueError(f"anchor index must be an integer >= 1, got {m!r}")
+    if rec["rounds"] != rounds:
+        raise ValueError(f"record rounds {rec['rounds']!r} differ from the header's")
     p, q = anchor(m)
-    pv = PrimalityVerdict(rec["p_status"], rec["p_certainty"])
-    qv = PrimalityVerdict(rec["q_status"], rec["q_certainty"])
+    pv = _verdict_from_record(rec, "p", rounds)
+    qv = _verdict_from_record(rec, "q", rounds)
     meets = m >= CANDIDATE_FLOOR
     cand = meets and pv.non_composite and qv.non_composite
     return AnchorResult(m, p, q, pv, qv, meets, cand)
@@ -138,13 +157,14 @@ def _read_checkpoint(path: str, rounds: int) -> dict[int, AnchorResult]:
             rec = json.loads(line)
             if rec.get("record") != "result":
                 raise ValueError("unknown record type")
-            result = _result_from_record(rec)
-        except (ValueError, KeyError, TypeError) as exc:
+            result = _result_from_record(rec, rounds)
+            if done.setdefault(result.m, result) != result:
+                raise ValueError(f"conflicting duplicate record for m={result.m}")
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CheckpointCorrupt(
                 f"{path}: line {lineno} is unreadable ({exc}); "
                 "refusing to resume from a damaged checkpoint"
             ) from exc
-        done.setdefault(result.m, result)
     return done
 
 

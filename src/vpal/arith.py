@@ -42,17 +42,23 @@ class PrimalityVerdict:
         return self.status != "composite"
 
 
-def _sieve_small(limit):
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
+@lru_cache(maxsize=32)
+def _cached_primes(limit: int) -> np.ndarray:
+    """All primes <= limit as a read-only int64 array."""
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return [i for i, f in enumerate(flags) if f]
+            flags[p * p :: p] = False
+    primes = np.flatnonzero(flags).astype(np.int64)
+    primes.flags.writeable = False
+    return primes
 
 
 _SMALL_PRIME_LIMIT = 4096
-_SMALL_PRIMES = tuple(_sieve_small(_SMALL_PRIME_LIMIT))
+_SMALL_PRIMES = tuple(_cached_primes(_SMALL_PRIME_LIMIT).tolist())
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -67,24 +73,6 @@ def _strong_probable_prime(n: int, base: int) -> bool:
         if x == n - 1:
             return True
     return False
-
-
-def _probable_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> bool:
-    if n < 2:
-        return False
-    for p in _WITNESSES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n < DETERMINISTIC_BOUND:
-        return all(_strong_probable_prime(n, a) for a in _WITNESSES)
-    # Bases are drawn from a generator seeded by n so repeated runs give
-    # identical verdicts.
-    rng = random.Random(n)
-    return all(
-        _strong_probable_prime(n, rng.randrange(2, n - 1)) for _ in range(rounds)
-    )
 
 
 def is_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
@@ -107,6 +95,8 @@ def is_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     if n < DETERMINISTIC_BOUND:
         ok = all(_strong_probable_prime(n, a) for a in _WITNESSES)
         return PrimalityVerdict("prime" if ok else "composite")
+    # Bases are drawn from a generator seeded by n so repeated runs give
+    # identical verdicts.
     rng = random.Random(n)
     for _ in range(rounds):
         if not _strong_probable_prime(n, rng.randrange(2, n - 1)):
@@ -219,7 +209,7 @@ def factorize(n: int, budget: int | None = None) -> list[tuple[int, int]]:
     try:
         while pending:
             m = pending.pop()
-            if _probable_prime(m):
+            if is_prime(m).non_composite:
                 found[m] = found.get(m, 0) + 1
                 continue
             d = _brent_rho(m, counter)
@@ -267,21 +257,9 @@ def oeis_G(n: int, budget: int | None = None) -> int:
     return out
 
 
-@lru_cache(maxsize=32)
-def _cached_primes(limit: int) -> tuple[int, ...]:
-    if limit < 2:
-        return ()
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return tuple(np.flatnonzero(flags).tolist())
-
-
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
-    return list(_cached_primes(limit))
+    return _cached_primes(limit).tolist()
 
 
 def spf_sieve(limit: int) -> np.ndarray:
@@ -302,21 +280,6 @@ def spf_sieve(limit: int) -> np.ndarray:
     return spf
 
 
-def factorize_with_table(n: int, spf: np.ndarray) -> list[tuple[int, int]]:
-    """Factorization of n via a smallest-prime-factor table covering n."""
-    if n < 1:
-        raise DomainError(f"factorize is defined for n >= 1, got {n}")
-    out = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
 def v_with_table(n: int, spf: np.ndarray) -> int:
     """v(n) via a smallest-prime-factor table covering n."""
     if n < 1:
@@ -332,33 +295,85 @@ def v_with_table(n: int, spf: np.ndarray) -> int:
     return total
 
 
-def v_segment(lo: int, hi: int) -> list[int]:
-    """v(n) for every n in [lo, hi], indexed by n - lo.
+INT64_MAX = np.iinfo(np.int64).max
 
-    Sieves the segment with primes up to sqrt(hi), dividing each prime out
-    of every multiple, so the whole block costs O((hi-lo) log log hi)
-    divisions instead of one factorization per n.
+# Up to this many terms, v_progression first finds the primes that divide
+# some term and loops over those alone.
+_FILTER_TERMS = 64
+
+
+def v_progression(a: int, step: int, count: int) -> np.ndarray:
+    """v(a + s*step) for every s in [0, count), as int64, indexed by s.
+
+    One sieve over the progression with the primes up to the square root of
+    its last term.  A prime p that does not divide step divides exactly the
+    terms at s = -a/step mod p, then every p-th one, so each power p**k is
+    divided out in place through one strided slice.  A prime that divides
+    step divides either every term or none and is peeled off on its own.
+    Every term must fit in int64.
+    """
+    if a < 1 or step < 1:
+        raise DomainError(f"progression start and step must be >= 1, got {a}, {step}")
+    if count < 1:
+        return np.zeros(0, dtype=np.int64)
+    if count == 1:
+        step = 1  # a single term does not depend on the step
+    last = a + (count - 1) * step
+    if last > INT64_MAX:
+        raise DomainError(f"progression term {last} does not fit in int64")
+    rem = a + step * np.arange(count, dtype=np.int64)
+    acc = np.zeros(count, dtype=np.int64)
+    root = math.isqrt(last)
+    # the table is cached at a power of two so that progressions with
+    # nearby last terms share it
+    primes = _cached_primes(1 << root.bit_length())
+    primes = primes[: np.searchsorted(primes, root, side="right")]
+    if count <= _FILTER_TERMS:
+        # few terms: loop only over the primes that divide one of them
+        divides = np.zeros(primes.size, dtype=bool)
+        for t in rem.tolist():
+            divides |= t % primes == 0
+        primes = primes[divides]
+    for p in primes.tolist():
+        if step % p == 0:
+            if a % p == 0:
+                _peel_every_term(rem, acc, p)
+            continue
+        # p**k divides the terms s = -a/step mod p**k, every p**k-th on;
+        # exponent 1 adds p, reaching 2 adds iota(2) = 2, each later one 1
+        q, k = p, 1
+        while q <= last:
+            s = -a * pow(step, -1, q) % q
+            if s >= count:
+                break
+            rem[s::q] //= p
+            acc[s::q] += p if k == 1 else 2 if k == 2 else 1
+            q *= p
+            k += 1
+    # what survives is 1 or a single prime: a composite survivor would
+    # exceed the last term, since its prime factors all exceed its root
+    big = rem > 1
+    acc[big] += rem[big]
+    return acc
+
+
+def _peel_every_term(rem: np.ndarray, acc: np.ndarray, p: int) -> None:
+    """Divide p out of terms that it all divides, adding p + iota(e) each."""
+    e = np.zeros(rem.size, dtype=np.int64)
+    idx = np.arange(rem.size)
+    while idx.size:
+        rem[idx] //= p
+        e[idx] += 1
+        idx = idx[rem[idx] % p == 0]
+    acc += p + np.where(e > 1, e, 0)
+
+
+def v_segment(lo: int, hi: int) -> np.ndarray:
+    """v(n) for every n in [lo, hi] as int64, indexed by n - lo.
+
+    The progression sieve with step 1: the whole block costs
+    O((hi-lo) log log hi) divisions instead of one factorization per n.
     """
     if lo < 1:
         raise DomainError(f"segment start must be >= 1, got {lo}")
-    if hi < lo:
-        return []
-    rem = list(range(lo, hi + 1))
-    acc = [0] * (hi - lo + 1)
-    for p in _cached_primes(math.isqrt(hi)):
-        first = p * ((lo + p - 1) // p)
-        for m in range(first, hi + 1, p):
-            j = m - lo
-            x = rem[j] // p
-            e = 1
-            while x % p == 0:
-                x //= p
-                e += 1
-            rem[j] = x
-            acc[j] += p + (e if e > 1 else 0)
-    for j, x in enumerate(rem):
-        if x > 1:
-            # what survives is a single prime: any composite survivor would
-            # exceed hi since all its prime factors are > sqrt(hi)
-            acc[j] += x
-    return acc
+    return v_progression(lo, 1, hi - lo + 1)

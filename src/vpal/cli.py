@@ -14,7 +14,7 @@ import sys
 from . import output
 from .anchors import search_anchors, verify_characterization
 from .arith import DEFAULT_ROUNDS, v
-from .digits import reverse
+from .digits import decimal_str, reverse
 from .errors import (
     BudgetExceeded,
     CheckpointCorrupt,
@@ -125,7 +125,7 @@ def _cmd_family(args) -> int:
     _emit(
         [output.scalar_record(f"family_{args.name}", args.k, value)],
         args.format,
-        [str(value)],
+        [decimal_str(value)],
     )
     return 0
 
@@ -139,7 +139,8 @@ def _cmd_anchors(args) -> int:
         workers=_resolve_threads(args),
     )
     lines = [
-        f"m={r.m} p={r.p} [{r.p_verdict.status}] q={r.q} [{r.q_verdict.status}] "
+        f"m={r.m} p={decimal_str(r.p)} [{r.p_verdict.status}] "
+        f"q={decimal_str(r.q)} [{r.q_verdict.status}] "
         f"candidate={'yes' if r.is_candidate else 'no'}"
         for r in results
     ]
@@ -284,7 +285,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here so a closed pipe surfaces inside this try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`vpal enumerate ... | head`): point stdout at
+        # devnull so the interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (DomainError, HeterogeneousRecords) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,47 @@ from dataclasses import dataclass
 from .errors import DigitOutOfRange, DomainError, IndexOutOfRange
 
 
+# Decimal digits per piece when an int is too long for one str()/int()
+# conversion under the interpreter's int<->str digit limit.
+_PIECE = 1000
+_PIECE_MOD = 10**_PIECE
+
+
+def decimal_str(n: int) -> str:
+    """Full decimal rendering of n at any size.
+
+    str() is tried first; only an int past the interpreter's conversion
+    limit is rendered piece by piece.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    pieces = []
+    while n >= _PIECE_MOD:
+        n, low = divmod(n, _PIECE_MOD)
+        pieces.append(str(low).zfill(_PIECE))
+    pieces.append(str(n))
+    return sign + "".join(reversed(pieces))
+
+
+def from_decimal(s: str) -> int:
+    """int(s) for a decimal string of any length; inverse of decimal_str."""
+    try:
+        return int(s)
+    except ValueError:
+        pass
+    sign, digits = (-1, s[1:]) if s[:1] == "-" else (1, s)
+    if not digits.isdigit():
+        raise ValueError(f"not a decimal integer: {s[:20]!r}...")
+    head = len(digits) % _PIECE or _PIECE
+    acc = int(digits[:head])
+    for i in range(head, len(digits), _PIECE):
+        acc = acc * _PIECE_MOD + int(digits[i : i + _PIECE])
+    return sign * acc
+
+
 def _check_base(base: int) -> None:
     if base < 2:
         raise DomainError(f"base must be >= 2, got {base}")
@@ -80,7 +121,7 @@ def length(n: int, base: int = 10) -> int:
     if n == 0:
         return 0
     if base == 10:
-        return len(str(n))
+        return len(decimal_str(n))
     count = 0
     while n:
         n //= base
@@ -104,7 +145,10 @@ def reverse(n: int, base: int = 10) -> int:
     if n < 1:
         raise DomainError(f"reversal is defined for n >= 1, got {n}")
     if base == 10:
-        return int(str(n)[::-1])
+        try:
+            return int(str(n)[::-1])
+        except ValueError:
+            return from_decimal(decimal_str(n)[::-1])
     acc = 0
     while n:
         n, d = divmod(n, base)

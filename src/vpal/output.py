@@ -10,6 +10,7 @@ import csv
 import json
 
 from .anchors import AnchorResult, VerificationReport
+from .digits import decimal_str, from_decimal
 from .errors import DomainError, HeterogeneousRecords
 from .heuristic import HeuristicReport
 from .palindromes import VPalindromeHit
@@ -115,9 +116,26 @@ def _require_homogeneous(records: list[dict], fmt: str) -> str:
     return next(iter(kinds))
 
 
+def _json_value(value) -> str:
+    """json.dumps(value) for a record field, with ints of any size."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return decimal_str(value)
+    return json.dumps(value)
+
+
+def _json_line(rec: dict) -> str:
+    try:
+        return json.dumps(rec)
+    except ValueError:
+        # an int past the interpreter's str() digit limit
+        return "{" + ", ".join(
+            f"{json.dumps(k)}: {_json_value(v)}" for k, v in rec.items()
+        ) + "}"
+
+
 def write_jsonl(records, stream) -> None:
     for rec in records:
-        stream.write(json.dumps(rec) + "\n")
+        stream.write(_json_line(rec) + "\n")
 
 
 def _cell(value) -> str:
@@ -125,7 +143,7 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    return json.dumps(value)
+    return _json_value(value)
 
 
 def write_csv(records, stream) -> None:
@@ -155,7 +173,7 @@ def write_bfile(records, stream) -> None:
         value = rec.get(field)
         if isinstance(value, bool) or not isinstance(value, int):
             raise DomainError(f"bfile values must be integers, got {value!r}")
-        stream.write(f"{index} {value}\n")
+        stream.write(f"{index} {decimal_str(value)}\n")
 
 
 def write_records(records, fmt: str, stream) -> None:
@@ -176,7 +194,7 @@ def read_jsonl(stream):
         if not line:
             continue
         try:
-            rec = json.loads(line)
+            rec = json.loads(line, parse_int=from_decimal)
         except json.JSONDecodeError as exc:
             raise DomainError(f"line {lineno}: not a json record ({exc})") from exc
         if not isinstance(rec, dict) or "kind" not in rec:

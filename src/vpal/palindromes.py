@@ -7,9 +7,12 @@ from its b-reverse r, and v(n) = v(r).
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .arith import v, v_segment
-from .digits import reverse
+import numpy as np
+
+from .arith import INT64_MAX, v, v_progression, v_segment
+from .digits import length, reverse
 from .errors import DomainError
 
 # Fixed shard width keeps enumeration output independent of worker count.
@@ -63,24 +66,56 @@ def as_hit(n: int, base: int = 10, budget: int | None = None):
     return VPalindromeHit(n, r, shared, base)
 
 
+def _aligned_blocks(lo: int, hi: int, base: int):
+    """The maximal blocks c*base**j + [0, base**j) that tile [lo, hi], as
+    (c, j), ascending."""
+    x = lo
+    while x <= hi:
+        j = 0
+        while x % base ** (j + 1) == 0 and x + base ** (j + 1) - 1 <= hi:
+            j += 1
+        yield x // base**j, j
+        x += base**j
+
+
+@lru_cache(maxsize=64)
+def _digit_reversal(j: int, base: int) -> np.ndarray:
+    """rev_j as an array: t in [0, base**j) -> its j-digit reversal, leading
+    zeros of t included, so rev_j is a permutation of [0, base**j)."""
+    t = np.arange(base**j, dtype=np.int64)
+    out = np.zeros_like(t)
+    for _ in range(j):
+        t, d = np.divmod(t, base)
+        out = out * base + d
+    out.flags.writeable = False
+    return out
+
+
 def _shard_hits(lo: int, hi: int, base: int, canonical: bool) -> list[tuple[int, int, int]]:
     """Hits in [lo, hi] as (n, reversal, shared_v) tuples, ascending.
 
-    v of every n in the shard comes from one segmented sieve; reversals
-    landing outside the shard are factored on demand.
+    v of every n in the shard comes from one segment sieve.  The shard is
+    tiled into aligned blocks n = c*b**j + t; their reversals are exactly
+    reverse(c) + s*b**len(c) with s = rev_j(t), so v of every reversal in a
+    block comes from one progression sieve, read through rev_j.
     """
-    table = v_segment(lo, hi)
+    v_n = v_segment(lo, hi)
     out = []
-    for n in range(lo, hi + 1):
-        if n % base == 0:
+    for c, j in _aligned_blocks(lo, hi, base):
+        a, step = reverse(c, base), base ** length(c, base)
+        s = _digit_reversal(j, base)
+        first = c * s.size
+        n = np.arange(first, first + s.size, dtype=np.int64)
+        r = a + step * s
+        keep = (n % base != 0) & (r != n)
+        if canonical:
+            keep &= r > n
+        if not keep.any():
             continue
-        r = reverse(n, base)
-        if r == n or (canonical and r < n):
-            continue
-        vn = table[n - lo]
-        vr = table[r - lo] if lo <= r <= hi else v(r)
-        if vn == vr:
-            out.append((n, r, vn))
+        vn = v_n[first - lo : first - lo + s.size]
+        keep &= vn == v_progression(a, step, s.size)[s]
+        idx = np.flatnonzero(keep)
+        out.extend(zip(n[idx].tolist(), r[idx].tolist(), vn[idx].tolist()))
     return out
 
 
@@ -96,7 +131,9 @@ def enumerate_v_palindromes(lo: int, hi: int, base: int = 10, mode: str = "all",
     A338039); mode "canonical" keeps only hits with n < reversal.  Shards
     are disjoint fixed-width segments, so the merged stream is identical
     for any worker count, and enumerating [a, c] equals concatenating
-    enumerations of [a, b] and [b+1, c].
+    enumerations of [a, b] and [b+1, c].  The sieves work in int64, so
+    base**length(hi) must fit in int64 (hi < 10**18 in base 10); a larger
+    hi raises DomainError.
     """
     if base < 2:
         raise DomainError(f"base must be >= 2, got {base}")
@@ -105,14 +142,23 @@ def enumerate_v_palindromes(lo: int, hi: int, base: int = 10, mode: str = "all",
     start = max(lo, 1)
     if hi < start:
         return
+    if base ** length(hi, base) > INT64_MAX:
+        raise DomainError(
+            f"enumeration is limited to ranges whose reversals fit in int64; "
+            f"hi={hi} has {length(hi, base)} digits in base {base}"
+        )
     canonical = mode == "canonical"
     shards = [(a, min(a + SHARD_SIZE - 1, hi), base, canonical)
               for a in range(start, hi + 1, SHARD_SIZE)]
     if workers > 1 and len(shards) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(shards)))
+        try:
             for hits in pool.map(_shard_task, shards):
                 for n, r, shared in hits:
                     yield VPalindromeHit(n, r, shared, base)
+        finally:
+            # an abandoned generator must not wait for the remaining shards
+            pool.shutdown(cancel_futures=True)
     else:
         for shard in shards:
             for n, r, shared in _shard_hits(*shard):

@@ -100,6 +100,9 @@ class TestConverseIdentity:
     def test_holds_through_200(self):
         assert all(converse_identity(m) for m in range(1, 201))
 
+    def test_past_the_str_digit_limit(self):
+        assert converse_identity(5000)
+
     def test_closed_form(self):
         for m in (1, 5, 50):
             p, q = anchor(m)
@@ -169,6 +172,62 @@ class TestSearchAnchors:
         search_anchors(1, 3, rounds=64, checkpoint_path=str(path))
         with pytest.raises(CheckpointCorrupt):
             search_anchors(1, 3, rounds=8, checkpoint_path=str(path))
+
+
+def _tampered(tmp_path, **changes):
+    """A valid checkpoint for m in [1, 4] plus a copy of its m=4 record
+    with ``changes`` applied, appended last."""
+    path = tmp_path / "search.ckpt"
+    search_anchors(1, 4, checkpoint_path=str(path))
+    rec = json.loads(path.read_text().splitlines()[-1])
+    rec.update(changes)
+    with open(path, "a") as fh:
+        fh.write(json.dumps(rec) + "\n")
+    return str(path)
+
+
+class TestCheckpointValidation:
+    def test_unknown_status_refuses(self, tmp_path):
+        # "bogus" is not composite, so unchecked it made m=5 a candidate
+        path = _tampered(tmp_path, m=5, p_status="bogus", q_status="bogus")
+        with pytest.raises(CheckpointCorrupt):
+            search_anchors(1, 5, checkpoint_path=path)
+
+    @pytest.mark.parametrize("status,certainty", [
+        ("prime", 64), ("composite", 3), ("probable_prime", 0),
+        ("probable_prime", 8), ("prime", "0"),
+    ])
+    def test_certainty_must_fit_status(self, tmp_path, status, certainty):
+        path = _tampered(tmp_path, m=5, p_status=status, p_certainty=certainty)
+        with pytest.raises(CheckpointCorrupt):
+            search_anchors(1, 5, checkpoint_path=path)
+
+    def test_record_rounds_must_match_header(self, tmp_path):
+        path = _tampered(tmp_path, m=5, rounds=8)
+        with pytest.raises(CheckpointCorrupt):
+            search_anchors(1, 5, checkpoint_path=path)
+
+    @pytest.mark.parametrize("m", ["5", 5.0, True, None, 0, -3])
+    def test_index_must_be_positive_int(self, tmp_path, m):
+        path = _tampered(tmp_path, m=m)
+        with pytest.raises(CheckpointCorrupt):
+            search_anchors(1, 5, checkpoint_path=path)
+
+    def test_conflicting_duplicate_refuses(self, tmp_path):
+        path = _tampered(tmp_path, q_status="prime")  # 49997 = 17**2 * 173
+        with pytest.raises(CheckpointCorrupt):
+            search_anchors(1, 5, checkpoint_path=path)
+
+    def test_identical_duplicate_accepted(self, tmp_path):
+        path = _tampered(tmp_path)
+        assert search_anchors(1, 5, checkpoint_path=path) == search_anchors(1, 5)
+
+    def test_non_object_record_refuses(self, tmp_path):
+        path = _tampered(tmp_path)
+        with open(path, "a") as fh:
+            fh.write("[1, 2]\n")
+        with pytest.raises(CheckpointCorrupt):
+            search_anchors(1, 5, checkpoint_path=path)
 
 
 class TestVerifyCharacterization:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from _oracles import oracle_sieve, oracle_v, trial_factorize, trial_is_prime
@@ -17,9 +18,10 @@ from vpal import (
     primes_upto,
     spf_sieve,
     v,
+    v_progression,
     v_segment,
 )
-from vpal.arith import factorize_with_table, v_with_table
+from vpal.arith import v_with_table
 
 # 2^89 - 1 is a Mersenne prime well above the deterministic witness range.
 BIG_PRIME = 2**89 - 1
@@ -211,7 +213,6 @@ class TestSieves:
         rng = random.Random(6)
         for _ in range(500):
             n = rng.randint(1, 10**5)
-            assert factorize_with_table(n, spf) == factorize(n)
             assert v_with_table(n, spf) == v(n)
 
     def test_v_segment_matches_pointwise(self):
@@ -219,9 +220,37 @@ class TestSieves:
         seg = v_segment(lo, hi)
         for n in range(lo, hi + 1):
             assert seg[n - lo] == v(n)
-        assert v_segment(1, 1) == [0]
-        assert v_segment(5, 4) == []
+        assert v_segment(1, 1).tolist() == [0]
+        assert len(v_segment(5, 4)) == 0
 
     def test_v_segment_rejects_zero_start(self):
         with pytest.raises(DomainError):
             v_segment(0, 10)
+
+    def test_v_progression_matches_pointwise(self):
+        rng = random.Random(7)
+        # steps sharing primes with the start (powers of 10, 2 and 3),
+        # counts below the sieving primes, and single terms
+        steps = (1, 10, 1000, 10**5, 2, 2**7, 3, 3**5, 7, 12)
+        for _ in range(400):
+            step = rng.choice(steps + (rng.randint(1, 10**4),))
+            a = rng.randint(1, 10**6)
+            if rng.random() < 0.3:
+                a *= rng.choice((2, 4, 8, 3, 9, 27, 5, 10, 100))
+            count = rng.choice((1, 2, 3, 7, 64, 65, rng.randint(1, 2000)))
+            got = v_progression(a, step, count)
+            assert got.dtype == np.int64
+            assert got.tolist() == [v(a + s * step) for s in range(count)], (
+                a, step, count)
+
+    def test_v_progression_edges(self):
+        assert v_progression(1, 10, 1).tolist() == [0]
+        assert len(v_progression(5, 3, 0)) == 0
+        # a single term ignores its step, however large
+        assert v_progression(891, 10**30, 1).tolist() == [18]
+        with pytest.raises(DomainError):
+            v_progression(0, 1, 5)
+        with pytest.raises(DomainError):
+            v_progression(1, 0, 5)
+        with pytest.raises(DomainError):
+            v_progression(2**62, 2**62, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import pytest
 
 from conftest import subprocess_env
+from vpal import check_anchor
+from vpal import cli
 from vpal.cli import main
 
 
@@ -106,6 +109,22 @@ def test_family(capsys):
     assert code == 0 and out == "181818\n"
     code, _, _ = run_cli(capsys, "family", "nines", "--k", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("fmt", ["table", "jsonl"])
+def test_family_past_the_str_digit_limit(capsys, fmt):
+    code, out, _ = run_cli(capsys, "family", "nines", "--k", "5000", "--format", fmt)
+    assert code == 0
+    assert ("1" + "9" * 4999 + "8") in out
+
+
+def test_anchors_table_past_the_str_digit_limit(capsys, monkeypatch):
+    big = check_anchor(4)
+    big = dataclasses.replace(big, m=5000, p=5 * 10**5000 - 1, q=5 * 10**5000 - 3)
+    monkeypatch.setattr(cli, "search_anchors", lambda *a, **k: [big])
+    code, out, _ = run_cli(capsys, "anchors", "--from", "5000", "--to", "5000")
+    assert code == 0
+    assert out.startswith(f"m=5000 p=4{'9' * 5000} [prime] q=4{'9' * 4999}7 ")
 
 
 def test_anchors_table(capsys):
@@ -271,3 +290,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == b"891\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_closed_pipe_exits_quietly(threads):
+    # `vpal enumerate ... | head -2`: the reader leaves after two lines
+    env = subprocess_env()
+    env["PYTHONUNBUFFERED"] = "1"  # each hit reaches the pipe as it is found
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vpal", "enumerate", "--lo", "1",
+         "--hi", "3000000", "--threads", threads],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert [proc.stdout.readline() for _ in range(2)] == [b"18\n", b"81\n"]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err
+    assert b"BrokenPipeError" not in err

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from _oracles import oracle_reverse
+from vpal.digits import decimal_str, from_decimal
 from vpal import (
     DigitOutOfRange,
     DigitVector,
@@ -166,3 +167,33 @@ def test_hardy_four_digit_multiples():
         if r and r != n and n % r == 0 and n // r > 1:
             found[n] = n // r
     assert found == {8712: 4, 9801: 9}
+
+
+# Past the interpreter's 4300-digit int<->str conversion limit.
+HUGE_DIGITS = (4299, 4300, 4301, 5000, 5001, 9999)
+
+
+@pytest.mark.parametrize("k", HUGE_DIGITS)
+def test_decimal_conversion_past_the_str_limit(k):
+    n = 10**k - 1 - 7 * 10 ** (k // 2)
+    text = decimal_str(n)
+    assert len(text) == k
+    assert text == "9" * (k - k // 2 - 1) + "2" + "9" * (k // 2)
+    assert from_decimal(text) == n
+    assert decimal_str(-n) == "-" + text
+    assert from_decimal("-" + text) == -n
+
+
+def test_from_decimal_rejects_non_digits():
+    with pytest.raises(ValueError):
+        from_decimal("12x" * 2000)
+
+
+def test_reverse_and_length_at_5000_digits():
+    n = 2 * 10**4999 + 3  # 2 0...0 3
+    assert length(n) == 5000
+    assert reverse(n) == 3 * 10**4999 + 2
+    nines = 2 * 10**5000 - 2  # 1 9...9 8
+    assert length(nines) == 5001
+    assert reverse(nines) == 9 * 10**5000 - 9  # 8 9...9 1
+    assert reverse(10**6000) == 1  # trailing zeros vanish

@@ -75,6 +75,24 @@ def test_jsonl_big_integers_are_exact():
     assert parsed["value"] == 10**121 - 6
 
 
+def test_ints_past_the_str_digit_limit_round_trip():
+    big = 2 * 10**5000 - 2  # 5001 digits
+    rec = output.scalar_record("family_nines", 5000, big)
+    line = render([rec], "jsonl")
+    assert line.endswith(f'"value": 1{"9" * 4999}8}}\n')
+    assert list(output.read_jsonl(io.StringIO(line))) == [rec]
+    assert render([rec], "bfile") == f"1 1{'9' * 4999}8\n"
+    assert render([rec], "csv").splitlines()[1].endswith(f",1{'9' * 4999}8")
+
+
+def test_jsonl_fallback_matches_json_dumps():
+    res = check_anchor(4)
+    rec = output.anchor_record(res)
+    line = render([dict(rec, p=10**5000)], "jsonl")
+    assert line == render([rec], "jsonl").replace(
+        f'"p": {res.p}', f'"p": 1{"0" * 5000}')
+
+
 def test_csv_layout():
     text = render([output.hit_record(h) for h in HITS], "csv")
     lines = text.splitlines()

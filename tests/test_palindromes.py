@@ -3,6 +3,7 @@ import random
 import pytest
 
 from _oracles import oracle_is_v_palindrome
+from vpal import palindromes as palindromes_mod
 from vpal import (
     DomainError,
     VPalindromeHit,
@@ -124,6 +125,28 @@ class TestEnumerate:
     def test_bad_mode(self):
         with pytest.raises(DomainError):
             list(enumerate_v_palindromes(1, 10, mode="both"))
+
+    @pytest.mark.parametrize("lo,hi", [(99_990, 100_010), (65_530, 65_545),
+                                       (999_990, 1_000_020), (1, 3000),
+                                       (64_000, 67_000)])
+    @pytest.mark.parametrize("base", [10, 2, 3])
+    @pytest.mark.parametrize("mode", ["all", "canonical"])
+    @pytest.mark.parametrize("shard", [palindromes_mod.SHARD_SIZE, 7])
+    def test_windows_match_singles(self, monkeypatch, lo, hi, base, mode, shard):
+        # windows straddle decade edges, and the last two hold hits; a
+        # 7-wide shard puts shard edges inside them too
+        monkeypatch.setattr(palindromes_mod, "SHARD_SIZE", shard)
+        hits = list(enumerate_v_palindromes(lo, hi, base=base, mode=mode))
+        singles = [as_hit(n, base) for n in range(lo, hi + 1)]
+        expected = [h for h in singles if h is not None
+                    and (mode == "all" or h.n < h.reversal)]
+        assert hits == expected
+
+    def test_reversal_image_beyond_int64_rejected(self):
+        with pytest.raises(DomainError):
+            list(enumerate_v_palindromes(10**18, 10**18 + 5))
+        with pytest.raises(DomainError):
+            list(enumerate_v_palindromes(2**63 - 5, 2**63 - 1, base=2))
 
 
 class TestFamilies:
