@@ -296,13 +296,11 @@ def v_with_table(n: int, spf: np.ndarray) -> int:
 
 
 INT64_MAX = np.iinfo(np.int64).max
-
-# Up to this many terms, v_progression first finds the primes that divide
-# some term and loops over those alone.
-_FILTER_TERMS = 64
+_PRIME_SLICE = 1 << 12
 
 
-def v_progression(a: int, step: int, count: int) -> np.ndarray:
+def v_progression(a: int, step: int, count: int,
+                  primes: np.ndarray | None = None) -> np.ndarray:
     """v(a + s*step) for every s in [0, count), as int64, indexed by s.
 
     One sieve over the progression with the primes up to the square root of
@@ -310,31 +308,26 @@ def v_progression(a: int, step: int, count: int) -> np.ndarray:
     terms at s = -a/step mod p, then every p-th one, so each power p**k is
     divided out in place through one strided slice.  A prime that divides
     step divides either every term or none and is peeled off on its own.
-    Every term must fit in int64.
+    ``primes``, when given, is an ascending prime table reaching at least
+    the square root of the last term (larger primes are harmless); by
+    default it is computed.  Every term must fit in int64.
     """
     if a < 1 or step < 1:
         raise DomainError(f"progression start and step must be >= 1, got {a}, {step}")
     if count < 1:
         return np.zeros(0, dtype=np.int64)
     if count == 1:
-        step = 1  # a single term does not depend on the step
+        step = 1  # a single term does not depend on the step, which may not fit int64
     last = a + (count - 1) * step
     if last > INT64_MAX:
         raise DomainError(f"progression term {last} does not fit in int64")
+    if primes is None:
+        primes = _cached_primes(math.isqrt(last))
     rem = a + step * np.arange(count, dtype=np.int64)
     acc = np.zeros(count, dtype=np.int64)
-    root = math.isqrt(last)
-    # the table is cached at a power of two so that progressions with
-    # nearby last terms share it
-    primes = _cached_primes(1 << root.bit_length())
-    primes = primes[: np.searchsorted(primes, root, side="right")]
-    if count <= _FILTER_TERMS:
-        # few terms: loop only over the primes that divide one of them
-        divides = np.zeros(primes.size, dtype=bool)
-        for t in rem.tolist():
-            divides |= t % primes == 0
-        primes = primes[divides]
-    for p in primes.tolist():
+    # walk the table in slices so that no list of all of it is built
+    slices = (primes[i : i + _PRIME_SLICE].tolist() for i in range(0, primes.size, _PRIME_SLICE))
+    for p in itertools.chain.from_iterable(slices):
         if step % p == 0:
             if a % p == 0:
                 _peel_every_term(rem, acc, p)

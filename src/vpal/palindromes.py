@@ -5,13 +5,14 @@ A v-palindrome in base b is an n >= 1 with b not dividing n, n different
 from its b-reverse r, and v(n) = v(r).
 """
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import INT64_MAX, v, v_progression, v_segment
+from .arith import INT64_MAX, _cached_primes, v, v_progression, v_segment
 from .digits import length, reverse
 from .errors import DomainError
 
@@ -91,31 +92,66 @@ def _digit_reversal(j: int, base: int) -> np.ndarray:
     return out
 
 
+# One progression sieve and per-candidate v(r) break even where
+# terms * bits(last)**4 is about this many times sqrt(last): timed from 10^10
+# to 10^15, where the choice is worth seconds per block.  Below that either
+# way costs milliseconds.
+_SIEVE_BREAK_EVEN = 500
+
+
+def _sieve_pays(terms: int, last: int) -> bool:
+    """Whether one progression sieve up to ``last`` costs less than ``terms``
+    single factorizations.
+
+    The sieve spends one step per prime below sqrt(last), so its cost grows
+    like sqrt(last)/bits; one v(r) grows only like bits**3, bits being the
+    bit length of last.
+    """
+    return terms * last.bit_length() ** 4 >= _SIEVE_BREAK_EVEN * math.isqrt(last)
+
+
+def _candidates(n, r, base: int, canonical: bool):
+    """Whether n with reversal r is tested at all: b does not divide n, r
+    differs from n, and in canonical mode r > n.  Works on ints and,
+    elementwise, on arrays."""
+    return (n % base != 0) & (r != n) & ((r > n) | (not canonical))
+
+
 def _shard_hits(lo: int, hi: int, base: int, canonical: bool) -> list[tuple[int, int, int]]:
     """Hits in [lo, hi] as (n, reversal, shared_v) tuples, ascending.
 
     v of every n in the shard comes from one segment sieve.  The shard is
     tiled into aligned blocks n = c*b**j + t; their reversals are exactly
-    reverse(c) + s*b**len(c) with s = rev_j(t), so v of every reversal in a
-    block comes from one progression sieve, read through rev_j.
+    reverse(c) + s*b**len(c) with s = rev_j(t).  When a block is long
+    enough to pay for it, v of its reversals comes from one progression
+    sieve, read through rev_j; otherwise v(r) is computed per candidate.
     """
     v_n = v_segment(lo, hi)
+    primes = None  # sieving primes for every reversal of the shard, on demand
     out = []
     for c, j in _aligned_blocks(lo, hi, base):
         a, step = reverse(c, base), base ** length(c, base)
         s = _digit_reversal(j, base)
         first = c * s.size
+        if not _sieve_pays(s.size, a + step * (s.size - 1)):
+            for t, rev_t in enumerate(s.tolist()):
+                n, r = first + t, a + step * rev_t
+                if _candidates(n, r, base, canonical):
+                    vn = int(v_n[n - lo])
+                    if v(r) == vn:
+                        out.append((n, r, vn))
+            continue
         n = np.arange(first, first + s.size, dtype=np.int64)
         r = a + step * s
-        keep = (n % base != 0) & (r != n)
-        if canonical:
-            keep &= r > n
-        if not keep.any():
+        idx = np.flatnonzero(_candidates(n, r, base, canonical))
+        if not idx.size:
             continue
-        vn = v_n[first - lo : first - lo + s.size]
-        keep &= vn == v_progression(a, step, s.size)[s]
-        idx = np.flatnonzero(keep)
-        out.extend(zip(n[idx].tolist(), r[idx].tolist(), vn[idx].tolist()))
+        if primes is None:
+            primes = _cached_primes(math.isqrt(base ** length(hi, base)))
+        vn = v_n[idx + (first - lo)]
+        hit = vn == v_progression(a, step, s.size, primes)[s[idx]]
+        idx = idx[hit]
+        out.extend(zip(n[idx].tolist(), r[idx].tolist(), vn[hit].tolist()))
     return out
 
 

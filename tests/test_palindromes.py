@@ -142,6 +142,29 @@ class TestEnumerate:
                     and (mode == "all" or h.n < h.reversal)]
         assert hits == expected
 
+    @pytest.mark.parametrize("lo,hi", [(1, 3000), (64_000, 67_000),
+                                       (10**9 - 150, 10**9 + 150)])
+    @pytest.mark.parametrize("base", [10, 3])
+    @pytest.mark.parametrize("mode", ["all", "canonical"])
+    def test_sieve_choice_does_not_change_hits(self, monkeypatch, lo, hi, base, mode):
+        # every block sieved, then every reversal factored on its own
+        monkeypatch.setattr(palindromes_mod, "_SIEVE_BREAK_EVEN", 0)
+        sieved = list(enumerate_v_palindromes(lo, hi, base=base, mode=mode))
+        monkeypatch.setattr(palindromes_mod, "_SIEVE_BREAK_EVEN", 10**30)
+        factored = list(enumerate_v_palindromes(lo, hi, base=base, mode=mode))
+        assert sieved == factored
+        singles = [as_hit(n, base) for n in range(lo, hi + 1)]
+        assert sieved == [h for h in singles if h is not None
+                          and (mode == "all" or h.n < h.reversal)]
+
+    def test_sieve_pays_for_long_blocks_only(self):
+        pays = palindromes_mod._sieve_pays
+        assert not pays(1, 10**6)
+        assert not pays(1, 10**17)
+        assert pays(10**4, 10**6)
+        assert not pays(1000, 10**15)
+        assert pays(10**5, 10**15)
+
     def test_reversal_image_beyond_int64_rejected(self):
         with pytest.raises(DomainError):
             list(enumerate_v_palindromes(10**18, 10**18 + 5))
