@@ -28,6 +28,7 @@ from .arith import (
     is_prime,
     oeis_F,
     oeis_G,
+    prime_flags,
     primes_upto,
     spf_sieve,
     v,
@@ -98,6 +99,7 @@ __all__ = [
     "oeis_F",
     "oeis_G",
     "pair_probability",
+    "prime_flags",
     "primes_upto",
     "reverse",
     "search_anchors",

@@ -9,13 +9,12 @@ a resumable checkpointed search, and a brute-force cross-verifier.
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-import numpy as np
-
-from .arith import (
+# v, spf_sieve and v_with_table are no longer called here, but
+# perfbench/tracing.py patches them under these names.
+from .arith import (  # noqa: F401
     DEFAULT_ROUNDS,
     PrimalityVerdict,
     is_prime,
@@ -25,13 +24,12 @@ from .arith import (
 )
 from .digits import reverse
 from .errors import CheckpointCorrupt, DomainError
+from .palindromes import _check_int64_reach, _prime_shard_hits, _shard_map, _shards
 
 # Smallest m worth testing: exhaustive search shows no prime v-palindrome
 # has fewer than CANDIDATE_FLOOR + 1 digits.  verify_characterization can
 # re-derive this from scratch for any bound.
 CANDIDATE_FLOOR = 4
-
-_VERIFY_SHARD = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -184,11 +182,6 @@ def _append_record(fh, result: AnchorResult, rounds: int) -> None:
     os.fsync(fh.fileno())
 
 
-def _check_anchor_task(args):
-    m, rounds = args
-    return check_anchor(m, rounds)
-
-
 def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
                    checkpoint_path: str | None = None,
                    workers: int = 1) -> list[AnchorResult]:
@@ -226,19 +219,11 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
                 fh.write(json.dumps(header) + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
-        if todo and workers > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-                for result in pool.map(_check_anchor_task,
-                                       [(m, rounds) for m in todo]):
-                    fresh[result.m] = result
-                    if fh is not None:
-                        _append_record(fh, result, rounds)
-        else:
-            for m in todo:
-                result = check_anchor(m, rounds)
-                fresh[result.m] = result
-                if fh is not None:
-                    _append_record(fh, result, rounds)
+        # results arrive in ascending m, so records are appended in order
+        for result in _shard_map(check_anchor, [(m, rounds) for m in todo], workers):
+            fresh[result.m] = result
+            if fh is not None:
+                _append_record(fh, result, rounds)
     finally:
         if fh is not None:
             fh.close()
@@ -247,54 +232,10 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
 
 # --- brute-force cross-verification ------------------------------------
 
-_SPF = None
-
-
-def _init_spf(limit: int) -> None:
-    global _SPF
-    _SPF = spf_sieve(limit)
-
-
-def _verify_shard(args) -> list[int]:
-    lo, hi, bound, base = args
-    spf = _SPF
-    seg = np.arange(lo, hi + 1, dtype=spf.dtype)
-    primes = (np.flatnonzero(spf[lo:hi + 1] == seg) + lo).tolist()
-    hits = []
-    for p in primes:
-        if p % base == 0:
-            continue
-        r = reverse(p, base)
-        if r == p:
-            continue
-        # v(p) = p for a prime, so p is a hit exactly when v(r) = p
-        vr = v_with_table(r, spf) if r <= bound else v(r)
-        if vr == p:
-            hits.append(p)
-    return hits
-
-
 def _brute_force_hits(bound: int, base: int, workers: int) -> list[int]:
-    shards = [(lo, min(lo + _VERIFY_SHARD - 1, bound), bound, base)
-              for lo in range(2, bound + 1, _VERIFY_SHARD)]
-    hits: list[int] = []
-    if workers > 1 and len(shards) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(shards)),
-            initializer=_init_spf,
-            initargs=(bound,),
-        ) as pool:
-            for shard_hits in pool.map(_verify_shard, shards):
-                hits.extend(shard_hits)
-    else:
-        global _SPF
-        _init_spf(bound)
-        try:
-            for shard in shards:
-                hits.extend(_verify_shard(shard))
-        finally:
-            _SPF = None
-    return hits
+    """Every prime v-palindrome p <= bound, ascending."""
+    shards = [(lo, hi, base) for lo, hi in _shards(2, bound, base)]
+    return [p for hits in _shard_map(_prime_shard_hits, shards, workers) for p in hits]
 
 
 def verify_characterization(bound: int, base: int = 10, workers: int = 1,
@@ -302,17 +243,20 @@ def verify_characterization(bound: int, base: int = 10, workers: int = 1,
     """Compare brute force against the anchor characterization up to bound.
 
     The brute-force side tests every prime p <= bound with the raw
-    predicate; the characterization side collects candidate anchors with
-    m >= CANDIDATE_FLOOR plus any below-floor anchor the brute force finds
-    (none are known; the floor is re-derived, not assumed).  The anchor
-    digit form is specific to base 10, so for other bases the
-    characterization side is empty and the report simply exposes whatever
-    the brute force found.
+    predicate, through the same reversal-image sieves as enumeration, so
+    base**length(bound) must fit in int64 (bound < 10**18 in base 10; a
+    larger bound raises DomainError).  The characterization side collects
+    candidate anchors with m >= CANDIDATE_FLOOR plus any below-floor anchor
+    the brute force finds (none are known; the floor is re-derived, not
+    assumed).  The anchor digit form is specific to base 10, so for other
+    bases the characterization side is empty and the report simply exposes
+    whatever the brute force found.
     """
     if bound < 2:
         raise DomainError(f"bound must be >= 2, got {bound}")
     if base < 2:
         raise DomainError(f"base must be >= 2, got {base}")
+    _check_int64_reach(bound, base)
     brute = _brute_force_hits(bound, base, workers)
     brute_set = set(brute)
     chars: list[int] = []

@@ -42,19 +42,45 @@ class PrimalityVerdict:
         return self.status != "composite"
 
 
+_PRIME_SEGMENT = 1 << 18
+
+
 @lru_cache(maxsize=32)
 def _cached_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as a read-only int64 array."""
+    """All primes <= limit as a read-only int64 array.
+
+    Built segment by segment with prime_flags over the primes up to the
+    root, so no array of limit + 1 flags is ever held.
+    """
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    primes = np.flatnonzero(flags).astype(np.int64)
+    root_primes = _cached_primes(math.isqrt(limit))
+    pieces = [
+        lo + np.flatnonzero(
+            prime_flags(lo, min(lo + _PRIME_SEGMENT - 1, limit), root_primes))
+        for lo in range(0, limit + 1, _PRIME_SEGMENT)
+    ]
+    primes = np.concatenate(pieces).astype(np.int64)
     primes.flags.writeable = False
     return primes
+
+
+def prime_flags(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """Bool array over [lo, hi], True where lo + i is prime.
+
+    A segmented sieve of Eratosthenes: each p <= sqrt(hi) strikes its
+    multiples from max(p*p, the first multiple >= lo) on.  ``primes`` is an
+    ascending prime table reaching at least sqrt(hi); larger entries are
+    ignored.
+    """
+    if lo < 0:
+        raise DomainError(f"segment start must be >= 0, got {lo}")
+    flags = np.ones(max(hi - lo + 1, 0), dtype=bool)
+    flags[: max(0, 2 - lo)] = False
+    used = primes[: np.searchsorted(primes, math.isqrt(max(hi, 0)), side="right")]
+    for p in used.tolist():
+        flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return flags
 
 
 _SMALL_PRIME_LIMIT = 4096
@@ -306,10 +332,12 @@ def v_progression(a: int, step: int, count: int,
     One sieve over the progression with the primes up to the square root of
     its last term.  A prime p that does not divide step divides exactly the
     terms at s = -a/step mod p, then every p-th one, so each power p**k is
-    divided out in place through one strided slice.  A prime that divides
-    step divides either every term or none and is peeled off on its own.
+    multiplied into the found part of those terms through one strided
+    slice (a multiply costs a fraction of an int64 division).  A prime that
+    divides step divides either every term or none and is peeled off on its
+    own.
     ``primes``, when given, is an ascending prime table reaching at least
-    the square root of the last term (larger primes are harmless); by
+    the square root of the last term (larger entries are ignored); by
     default it is computed.  Every term must fit in int64.
     """
     if a < 1 or step < 1:
@@ -323,14 +351,16 @@ def v_progression(a: int, step: int, count: int,
         raise DomainError(f"progression term {last} does not fit in int64")
     if primes is None:
         primes = _cached_primes(math.isqrt(last))
-    rem = a + step * np.arange(count, dtype=np.int64)
+    else:
+        primes = primes[: np.searchsorted(primes, math.isqrt(last), side="right")]
+    found = np.ones(count, dtype=np.int64)  # product of the prime powers found
     acc = np.zeros(count, dtype=np.int64)
     # walk the table in slices so that no list of all of it is built
     slices = (primes[i : i + _PRIME_SLICE].tolist() for i in range(0, primes.size, _PRIME_SLICE))
     for p in itertools.chain.from_iterable(slices):
         if step % p == 0:
             if a % p == 0:
-                _peel_every_term(rem, acc, p)
+                _peel_every_term(found, acc, p, a, step)
             continue
         # p**k divides the terms s = -a/step mod p**k, every p**k-th on;
         # exponent 1 adds p, reaching 2 adds iota(2) = 2, each later one 1
@@ -339,26 +369,47 @@ def v_progression(a: int, step: int, count: int,
             s = -a * pow(step, -1, q) % q
             if s >= count:
                 break
-            rem[s::q] //= p
+            found[s::q] *= p
             acc[s::q] += p if k == 1 else 2 if k == 2 else 1
             q *= p
             k += 1
     # what survives is 1 or a single prime: a composite survivor would
     # exceed the last term, since its prime factors all exceed its root
-    big = rem > 1
-    acc[big] += rem[big]
+    rem = np.arange(count, dtype=np.int64)
+    rem *= step
+    rem += a
+    rem //= found
+    rem[rem == 1] = 0
+    acc += rem
     return acc
 
 
-def _peel_every_term(rem: np.ndarray, acc: np.ndarray, p: int) -> None:
-    """Divide p out of terms that it all divides, adding p + iota(e) each."""
-    e = np.zeros(rem.size, dtype=np.int64)
-    idx = np.arange(rem.size)
-    while idx.size:
-        rem[idx] //= p
-        e[idx] += 1
-        idx = idx[rem[idx] % p == 0]
-    acc += p + np.where(e > 1, e, 0)
+def _peel_every_term(found: np.ndarray, acc: np.ndarray, p: int, a: int, step: int) -> None:
+    """Multiply the power of p in each term a + s*step, all of which p
+    divides, into ``found``, adding p + iota(e) to each term's v.
+
+    Every term shares p**d with d = min(v_p(a), v_p(step)).  When
+    v_p(a) < v_p(step) that is all of p in every term; otherwise the
+    quotient progression has a step prime to p, and its higher powers of p
+    fall on strided terms as in v_progression.
+    """
+    d = 0
+    while a % p == 0 and step % p == 0:
+        a, step, d = a // p, step // p, d + 1
+    found *= p**d
+    acc += p + (d if d > 1 else 0)
+    if step % p == 0:
+        return
+    # d >= 1, so each further power takes the exponent to 2 or beyond
+    q, e, last = p, d + 1, a + (found.size - 1) * step
+    while q <= last:
+        s = -a * pow(step, -1, q) % q
+        if s >= found.size:
+            break
+        found[s::q] *= p
+        acc[s::q] += 2 if e == 2 else 1
+        q *= p
+        e += 1
 
 
 def v_segment(lo: int, hi: int) -> np.ndarray:

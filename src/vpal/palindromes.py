@@ -6,18 +6,20 @@ from its b-reverse r, and v(n) = v(r).
 """
 
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import INT64_MAX, _cached_primes, v, v_progression, v_segment
+from .arith import INT64_MAX, _cached_primes, prime_flags, v, v_progression, v_segment
 from .digits import length, reverse
 from .errors import DomainError
 
-# Fixed shard width keeps enumeration output independent of worker count.
-SHARD_SIZE = 1 << 16
+# Shards are at most this wide and cut at fixed points (_shard_width), which
+# keeps the output independent of the worker count.
+SHARD_SIZE = 1 << 17
 
 _MODES = ("all", "canonical")
 
@@ -117,46 +119,120 @@ def _candidates(n, r, base: int, canonical: bool):
     return (n % base != 0) & (r != n) & ((r > n) | (not canonical))
 
 
-def _shard_hits(lo: int, hi: int, base: int, canonical: bool) -> list[tuple[int, int, int]]:
-    """Hits in [lo, hi] as (n, reversal, shared_v) tuples, ascending.
+def _sieving_primes(hi: int, base: int) -> np.ndarray:
+    """The primes up to the root of base**length(hi): enough to sieve every
+    n <= hi and every reversal of one."""
+    return _cached_primes(math.isqrt(base ** length(hi, base)))
 
-    v of every n in the shard comes from one segment sieve.  The shard is
-    tiled into aligned blocks n = c*b**j + t; their reversals are exactly
-    reverse(c) + s*b**len(c) with s = rev_j(t).  When a block is long
-    enough to pay for it, v of its reversals comes from one progression
-    sieve, read through rev_j; otherwise v(r) is computed per candidate.
+
+def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
+                canonical: bool) -> list[tuple[int, int, int]]:
+    """Hits among n in [lo, lo + len(v_n)) as (n, reversal, shared_v), given
+    v of every n (read only where n is kept) and an optional mask of the n
+    worth testing, ascending.
+
+    The window is tiled into aligned blocks n = c*b**j + t; their reversals
+    are exactly reverse(c) + s*b**len(c) with s = rev_j(t).  When a block
+    has enough candidates to pay for it, v of its reversals comes from one
+    progression sieve, read through rev_j; otherwise v(r) is computed per
+    candidate.
     """
-    v_n = v_segment(lo, hi)
-    primes = None  # sieving primes for every reversal of the shard, on demand
+    hi = lo + v_n.size - 1
     out = []
     for c, j in _aligned_blocks(lo, hi, base):
         a, step = reverse(c, base), base ** length(c, base)
+        if j == 0:
+            # a lone n = c with reversal a: plain ints cost less than arrays
+            if (keep is None or keep[c - lo]) and _candidates(c, a, base, canonical):
+                vn = int(v_n[c - lo])
+                if v(a) == vn:
+                    out.append((c, a, vn))
+            continue
         s = _digit_reversal(j, base)
         first = c * s.size
-        if not _sieve_pays(s.size, a + step * (s.size - 1)):
-            for t, rev_t in enumerate(s.tolist()):
-                n, r = first + t, a + step * rev_t
-                if _candidates(n, r, base, canonical):
-                    vn = int(v_n[n - lo])
-                    if v(r) == vn:
-                        out.append((n, r, vn))
+        off = first - lo
+        t = np.arange(s.size) if keep is None else np.flatnonzero(keep[off : off + s.size])
+        n, r = first + t, a + step * s[t]
+        sel = np.flatnonzero(_candidates(n, r, base, canonical))
+        if not sel.size:
             continue
-        n = np.arange(first, first + s.size, dtype=np.int64)
-        r = a + step * s
-        idx = np.flatnonzero(_candidates(n, r, base, canonical))
-        if not idx.size:
-            continue
-        if primes is None:
-            primes = _cached_primes(math.isqrt(base ** length(hi, base)))
-        vn = v_n[idx + (first - lo)]
-        hit = vn == v_progression(a, step, s.size, primes)[s[idx]]
-        idx = idx[hit]
-        out.extend(zip(n[idx].tolist(), r[idx].tolist(), vn[hit].tolist()))
+        t = t[sel]
+        vn = v_n[off + t]
+        if _sieve_pays(t.size, a + step * (s.size - 1)):
+            vr = v_progression(a, step, s.size, _sieving_primes(hi, base))[s[t]]
+        else:
+            vr = np.array([v(x) for x in r[sel].tolist()], dtype=np.int64)
+        hit = np.flatnonzero(vn == vr)
+        sel = sel[hit]
+        out.extend(zip(n[sel].tolist(), r[sel].tolist(), vn[hit].tolist()))
     return out
 
 
-def _shard_task(args):
-    return _shard_hits(*args)
+def _shard_hits(lo: int, hi: int, base: int, canonical: bool) -> list[tuple[int, int, int]]:
+    """Hits in [lo, hi] as (n, reversal, shared_v) tuples, ascending; v of
+    every n comes from one segment sieve."""
+    lo = max(lo, base)  # every n < base is a one-digit reversal fixed point
+    if hi < lo:
+        return []
+    return _block_hits(lo, v_segment(lo, hi), None, base, canonical)
+
+
+def _prime_shard_hits(lo: int, hi: int, base: int) -> list[int]:
+    """The prime v-palindromes in [lo, hi], ascending.
+
+    The primes come from one segmented sieve.  v(p) = p for a prime, so p
+    is a hit exactly when v of its reversal equals p.
+    """
+    lo = max(lo, base)
+    if hi < lo:
+        return []
+    flags = prime_flags(lo, hi, _sieving_primes(hi, base))
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    return [p for p, _r, _v in _block_hits(lo, n, flags, base, False)]
+
+
+def _shard_width(base: int) -> int:
+    """The largest multiple of the largest power of base not above
+    SHARD_SIZE, itself at most SHARD_SIZE: shards cut at its multiples
+    tile into aligned blocks of that power."""
+    power = 1
+    while power * base <= SHARD_SIZE:
+        power *= base
+    return power * (SHARD_SIZE // power)
+
+
+def _shards(lo: int, hi: int, base: int) -> list[tuple[int, int]]:
+    """[lo, hi] cut at the multiples of the shard width, as (start, end)
+    pairs, ascending.  The cuts do not depend on the worker count."""
+    width = _shard_width(base)
+    return [(max(a, lo), min(a + width - 1, hi))
+            for a in range(lo // width * width, hi + 1, width)]
+
+
+def _shard_map(fn, shards, workers: int):
+    """fn(*shard) for every shard, yielded in shard order.
+
+    With more than one worker and shard, the shards run in a process pool
+    with at most two per worker submitted ahead of the one being yielded;
+    closing the generator cancels the ones not yet started.
+    """
+    if workers <= 1 or len(shards) <= 1:
+        for shard in shards:
+            yield fn(*shard)
+        return
+    workers = min(workers, len(shards))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        pending = deque()
+        for shard in shards:
+            pending.append(pool.submit(fn, *shard))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        # an abandoned generator must not wait for the remaining shards
+        pool.shutdown(cancel_futures=True)
 
 
 def enumerate_v_palindromes(lo: int, hi: int, base: int = 10, mode: str = "all",
@@ -165,11 +241,11 @@ def enumerate_v_palindromes(lo: int, hi: int, base: int = 10, mode: str = "all",
 
     mode "all" reports every qualifying n (for base 10 this is OEIS
     A338039); mode "canonical" keeps only hits with n < reversal.  Shards
-    are disjoint fixed-width segments, so the merged stream is identical
-    for any worker count, and enumerating [a, c] equals concatenating
-    enumerations of [a, b] and [b+1, c].  The sieves work in int64, so
-    base**length(hi) must fit in int64 (hi < 10**18 in base 10); a larger
-    hi raises DomainError.
+    are cut at fixed multiples of the shard width, so the merged stream is
+    identical for any worker count, and enumerating [a, c] equals
+    concatenating enumerations of [a, b] and [b+1, c].  The sieves work in
+    int64, so base**length(hi) must fit in int64 (hi < 10**18 in base 10);
+    a larger hi raises DomainError.
     """
     if base < 2:
         raise DomainError(f"base must be >= 2, got {base}")
@@ -178,27 +254,21 @@ def enumerate_v_palindromes(lo: int, hi: int, base: int = 10, mode: str = "all",
     start = max(lo, 1)
     if hi < start:
         return
+    _check_int64_reach(hi, base)
+    canonical = mode == "canonical"
+    shards = [(a, b, base, canonical) for a, b in _shards(start, hi, base)]
+    for hits in _shard_map(_shard_hits, shards, workers):
+        for n, r, shared in hits:
+            yield VPalindromeHit(n, r, shared, base)
+
+
+def _check_int64_reach(hi: int, base: int) -> None:
+    """DomainError unless every reversal of an n <= hi fits in int64."""
     if base ** length(hi, base) > INT64_MAX:
         raise DomainError(
-            f"enumeration is limited to ranges whose reversals fit in int64; "
+            f"the sieves are limited to ranges whose reversals fit in int64; "
             f"hi={hi} has {length(hi, base)} digits in base {base}"
         )
-    canonical = mode == "canonical"
-    shards = [(a, min(a + SHARD_SIZE - 1, hi), base, canonical)
-              for a in range(start, hi + 1, SHARD_SIZE)]
-    if workers > 1 and len(shards) > 1:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(shards)))
-        try:
-            for hits in pool.map(_shard_task, shards):
-                for n, r, shared in hits:
-                    yield VPalindromeHit(n, r, shared, base)
-        finally:
-            # an abandoned generator must not wait for the remaining shards
-            pool.shutdown(cancel_futures=True)
-    else:
-        for shard in shards:
-            for n, r, shared in _shard_hits(*shard):
-                yield VPalindromeHit(n, r, shared, base)
 
 
 def family_nines(k: int) -> int:

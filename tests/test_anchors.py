@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -19,6 +20,13 @@ from vpal import (
     verify_characterization,
 )
 from vpal import anchors as anchors_mod
+from vpal import palindromes as palindromes_mod
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_v_palindromes(bound, base):
+    """The raw predicate over every prime <= bound."""
+    return [p for p in primes_upto(bound) if is_v_palindrome(p, base)]
 
 
 class TestAnchor:
@@ -257,18 +265,36 @@ class TestVerifyCharacterization:
         assert rep.consistent
 
     def test_shard_scanner_agrees_with_predicate(self):
-        # the brute-force scanner must flag exactly the primes the raw
+        # the prime shard scanner must flag exactly the primes the raw
         # predicate flags, so an empty result means "none exist", not
         # "none were visible to the scanner"
-        anchors_mod._init_spf(10**4)
-        try:
-            hits = anchors_mod._verify_shard((2, 10**4, 10**4, 10))
-        finally:
-            anchors_mod._SPF = None
-        expected = [
-            p for p in primes_upto(10**4) if is_v_palindrome(p)
-        ]
-        assert hits == expected
+        for base in (10, 16, 100):
+            hits = palindromes_mod._prime_shard_hits(2, 10**4, base)
+            assert hits == _prime_v_palindromes(10**4, base)
+        assert palindromes_mod._prime_shard_hits(2, 10**4, 16) == [109, 1789]
+
+    @pytest.mark.parametrize("base,bound,hits", [(16, 3 * 10**5, [109, 1789]),
+                                                 (100, 10**5, [3469])])
+    def test_finds_real_hits(self, base, bound, hits):
+        rep = verify_characterization(bound, base=base)
+        assert rep.brute_force_hits == hits == _prime_v_palindromes(bound, base)
+        assert verify_characterization(bound, base=base, workers=2) == rep
+
+    @pytest.mark.parametrize("bound,base", [
+        *((b, base) for b in (2**17 - 3, 2**17 + 3, 10**5 - 3, 10**5 + 3)
+          for base in (10, 16, 2)),
+        (10**6 + 7, 10),
+    ])
+    def test_bounds_straddling_shard_and_decade_edges(self, bound, base):
+        # base-10 shards end at multiples of 10**5, base-2 and base-16
+        # shards at multiples of 2**17
+        expected = _prime_v_palindromes(bound, base)
+        assert anchors_mod._brute_force_hits(bound, base, 1) == expected
+        assert anchors_mod._brute_force_hits(bound, base, 2) == expected
+
+    def test_bound_beyond_int64_rejected(self):
+        with pytest.raises(DomainError):
+            verify_characterization(10**18)
 
     def test_brute_hits_must_have_anchor_shape(self):
         # any prime v-palindrome ends in 9, leads with 4, and is all 9s in

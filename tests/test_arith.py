@@ -15,13 +15,14 @@ from vpal import (
     is_prime,
     oeis_F,
     oeis_G,
+    prime_flags,
     primes_upto,
     spf_sieve,
     v,
     v_progression,
     v_segment,
 )
-from vpal.arith import v_with_table
+from vpal.arith import _PRIME_SEGMENT, v_with_table
 
 # 2^89 - 1 is a Mersenne prime well above the deterministic witness range.
 BIG_PRIME = 2**89 - 1
@@ -198,6 +199,31 @@ class TestSieves:
         flags = oracle_sieve(10**6)
         expected = [i for i, f in enumerate(flags) if f]
         assert primes_upto(10**6) == expected
+
+    def test_primes_upto_across_segment_edges(self):
+        flags = oracle_sieve(2 * _PRIME_SEGMENT + 3)
+        for limit in (0, 1, 2, 3, 4, 30, _PRIME_SEGMENT - 1, _PRIME_SEGMENT,
+                      _PRIME_SEGMENT + 1, 2 * _PRIME_SEGMENT + 3):
+            assert primes_upto(limit) == [i for i in range(limit + 1) if flags[i]]
+
+    @pytest.mark.parametrize("lo,hi", [(0, 50), (1, 50), (2, 3), (3, 1000),
+                                       (4, 4), (4, 10**4), (2**17 - 500, 2**17 + 500),
+                                       (999_900, 1_000_100), (10**9 - 300, 10**9)])
+    def test_prime_flags_match_v(self, lo, hi):
+        # a prime is exactly an n with v(n) = n, except 4 = 2**2 -> 2 + 2
+        n = np.arange(max(lo, 1), hi + 1)
+        expected = (v_segment(max(lo, 1), hi) == n) & (n != 4)
+        if lo == 0:
+            expected = np.concatenate(([False], expected))
+        table = primes_upto(math.isqrt(hi) + 100)  # larger entries are ignored
+        got = prime_flags(lo, hi, np.array(table, dtype=np.int64))
+        assert got.dtype == bool
+        assert got.tolist() == expected.tolist()
+
+    def test_prime_flags_edges(self):
+        assert len(prime_flags(10, 9, np.array([2, 3]))) == 0
+        with pytest.raises(DomainError):
+            prime_flags(-1, 5, np.array([2]))
 
     def test_spf_table(self):
         spf = spf_sieve(10**4)

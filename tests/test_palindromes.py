@@ -104,8 +104,8 @@ class TestEnumerate:
         assert whole == split
 
     def test_across_shard_boundary(self):
-        # spans the 2^16 internal shard edge
-        lo, hi = 65000, 66100
+        # spans the 10^5 shard edge of base 10
+        lo, hi = 99_000, 101_100
         whole = list(enumerate_v_palindromes(lo, hi, mode="all"))
         singles = [n for n in range(lo, hi + 1) if is_v_palindrome(n)]
         assert [h.n for h in whole] == singles
@@ -131,10 +131,11 @@ class TestEnumerate:
                                        (64_000, 67_000)])
     @pytest.mark.parametrize("base", [10, 2, 3])
     @pytest.mark.parametrize("mode", ["all", "canonical"])
-    @pytest.mark.parametrize("shard", [palindromes_mod.SHARD_SIZE, 7])
+    @pytest.mark.parametrize("shard", [palindromes_mod.SHARD_SIZE, 2**16, 7])
     def test_windows_match_singles(self, monkeypatch, lo, hi, base, mode, shard):
         # windows straddle decade edges, and the last two hold hits; a
-        # 7-wide shard puts shard edges inside them too
+        # 2**16 limit cuts base-10 shards at multiples of 60000, and a
+        # 7-wide shard puts shard edges inside the windows too
         monkeypatch.setattr(palindromes_mod, "SHARD_SIZE", shard)
         hits = list(enumerate_v_palindromes(lo, hi, base=base, mode=mode))
         singles = [as_hit(n, base) for n in range(lo, hi + 1)]
@@ -164,6 +165,46 @@ class TestEnumerate:
         assert pays(10**4, 10**6)
         assert not pays(1000, 10**15)
         assert pays(10**5, 10**15)
+
+    @pytest.mark.parametrize("base,power,width", [
+        (10, 10**5, 10**5), (16, 16**4, 2**17), (2, 2**17, 2**17),
+        (3, 3**10, 2 * 3**10), (1000, 1000, 131_000), (10**5, 10**5, 10**5),
+        (10**6, 1, 2**17)])
+    def test_shards_tile_into_aligned_blocks(self, base, power, width):
+        assert palindromes_mod._shard_width(base) == width
+        lo, hi = 7, 5 * width + 11
+        shards = palindromes_mod._shards(lo, hi, base)
+        assert shards[0][0] == lo and shards[-1][1] == hi
+        for (_, end), (start, _) in zip(shards, shards[1:]):
+            assert start == end + 1 and start % width == 0
+        # every full shard is whole blocks of the largest power of the base
+        # that fits in it
+        for a, b in shards[1:-1]:
+            blocks = list(palindromes_mod._aligned_blocks(a, b, base))
+            assert [base**j for _, j in blocks] == [power] * (width // power)
+
+    def test_one_digit_fixed_points_skip_the_sieve(self, monkeypatch):
+        def no_sieve(lo, hi):
+            raise AssertionError(f"sieved [{lo}, {hi}]")
+        monkeypatch.setattr(palindromes_mod, "v_segment", no_sieve)
+        assert list(enumerate_v_palindromes(1, 65536, base=100_000)) == []
+        assert palindromes_mod._shard_hits(1, 9, 10, False) == []
+
+    def test_shard_map_keeps_order_and_bounds_the_window(self):
+        class CountedShards(list):
+            taken = 0
+
+            def __iter__(self):
+                for shard in super().__iter__():
+                    self.taken += 1
+                    yield shard
+
+        shards = CountedShards((-i,) for i in range(40))
+        results = palindromes_mod._shard_map(abs, shards, 2)
+        assert next(results) == 0
+        assert shards.taken <= 2 * 2 + 1
+        assert list(results) == list(range(1, 40))
+        assert list(palindromes_mod._shard_map(abs, [(-3,), (-1,)], 1)) == [3, 1]
 
     def test_reversal_image_beyond_int64_rejected(self):
         with pytest.raises(DomainError):
