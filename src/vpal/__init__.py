@@ -28,7 +28,6 @@ from .arith import (
     is_prime,
     oeis_F,
     oeis_G,
-    prime_flags,
     primes_upto,
     spf_sieve,
     v,
@@ -99,7 +98,6 @@ __all__ = [
     "oeis_F",
     "oeis_G",
     "pair_probability",
-    "prime_flags",
     "primes_upto",
     "reverse",
     "search_anchors",

@@ -60,7 +60,7 @@ def _cached_primes(limit: int) -> np.ndarray:
             prime_flags(lo, min(lo + _PRIME_SEGMENT - 1, limit), root_primes))
         for lo in range(0, limit + 1, _PRIME_SEGMENT)
     ]
-    primes = np.concatenate(pieces).astype(np.int64)
+    primes = np.concatenate(pieces)
     primes.flags.writeable = False
     return primes
 

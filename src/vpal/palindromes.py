@@ -5,9 +5,10 @@ A v-palindrome in base b is an n >= 1 with b not dividing n, n different
 from its b-reverse r, and v(n) = v(r).
 """
 
+import itertools
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,35 +134,38 @@ def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
 
     The window is tiled into aligned blocks n = c*b**j + t; their reversals
     are exactly reverse(c) + s*b**len(c) with s = rev_j(t).  When a block
-    has enough candidates to pay for it, v of its reversals comes from one
+    keeps enough terms to pay for it, v of its reversals comes from one
     progression sieve, read through rev_j; otherwise v(r) is computed per
     candidate.
     """
     hi = lo + v_n.size - 1
+    blocks = list(_aligned_blocks(lo, hi, base))
+    # kept n as offsets from lo; block number i keeps kept[cuts[i]:cuts[i+1]]
+    kept = np.arange(v_n.size) if keep is None else np.flatnonzero(keep)
+    cuts = np.searchsorted(kept, [c * base**j - lo for c, j in blocks] + [v_n.size]).tolist()
     out = []
-    for c, j in _aligned_blocks(lo, hi, base):
-        a, step = reverse(c, base), base ** length(c, base)
-        if j == 0:
-            # a lone n = c with reversal a: plain ints cost less than arrays
-            if (keep is None or keep[c - lo]) and _candidates(c, a, base, canonical):
-                vn = int(v_n[c - lo])
-                if v(a) == vn:
-                    out.append((c, a, vn))
+    for (c, j), i, k in zip(blocks, cuts, cuts[1:]):
+        if i == k:
             continue
+        x = kept[i:k]
+        a, step = reverse(c, base), base ** length(c, base)
         s = _digit_reversal(j, base)
         first = c * s.size
-        off = first - lo
-        t = np.arange(s.size) if keep is None else np.flatnonzero(keep[off : off + s.size])
+        if not _sieve_pays(x.size, a + step * (s.size - 1)):
+            for n in (lo + x).tolist():
+                r = a + step * int(s[n - first])
+                if _candidates(n, r, base, canonical):
+                    vn = int(v_n[n - lo])
+                    if v(r) == vn:
+                        out.append((n, r, vn))
+            continue
+        t = x + (lo - first)
         n, r = first + t, a + step * s[t]
         sel = np.flatnonzero(_candidates(n, r, base, canonical))
         if not sel.size:
             continue
-        t = t[sel]
-        vn = v_n[off + t]
-        if _sieve_pays(t.size, a + step * (s.size - 1)):
-            vr = v_progression(a, step, s.size, _sieving_primes(hi, base))[s[t]]
-        else:
-            vr = np.array([v(x) for x in r[sel].tolist()], dtype=np.int64)
+        vn = v_n[x[sel]]
+        vr = v_progression(a, step, s.size, _sieving_primes(hi, base))[s[t[sel]]]
         hit = np.flatnonzero(vn == vr)
         sel = sel[hit]
         out.extend(zip(n[sel].tolist(), r[sel].tolist(), vn[hit].tolist()))
@@ -212,24 +216,33 @@ def _shards(lo: int, hi: int, base: int) -> list[tuple[int, int]]:
 def _shard_map(fn, shards, workers: int):
     """fn(*shard) for every shard, yielded in shard order.
 
-    With more than one worker and shard, the shards run in a process pool
-    with at most two per worker submitted ahead of the one being yielded;
-    closing the generator cancels the ones not yet started.
+    With more than one worker and shard, the shards run in a process pool.
+    New shards are submitted only while the generator runs, and at most two
+    per worker are submitted and unfinished at a time; a slow shard does not
+    stall the rest, whose results wait for it in order.  Closing the
+    generator cancels the shards not yet started.
     """
     if workers <= 1 or len(shards) <= 1:
         for shard in shards:
             yield fn(*shard)
         return
     workers = min(workers, len(shards))
+    queue = iter(shards)
+    pending = deque()  # submitted, not yet yielded, in shard order
+    running = set()  # submitted, not yet finished
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        pending = deque()
-        for shard in shards:
-            pending.append(pool.submit(fn, *shard))
-            if len(pending) > 2 * workers:
+        while True:
+            running = {f for f in running if not f.done()}
+            for shard in itertools.islice(queue, 2 * workers - len(running)):
+                pending.append(pool.submit(fn, *shard))
+                running.add(pending[-1])
+            if not pending:
+                return
+            if pending[0].done():
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+            else:
+                wait(running, return_when=FIRST_COMPLETED)
     finally:
         # an abandoned generator must not wait for the remaining shards
         pool.shutdown(cancel_futures=True)

@@ -15,14 +15,13 @@ from vpal import (
     is_prime,
     oeis_F,
     oeis_G,
-    prime_flags,
     primes_upto,
     spf_sieve,
     v,
     v_progression,
     v_segment,
 )
-from vpal.arith import _PRIME_SEGMENT, v_with_table
+from vpal.arith import _PRIME_SEGMENT, prime_flags, v_with_table
 
 # 2^89 - 1 is a Mersenne prime well above the deterministic witness range.
 BIG_PRIME = 2**89 - 1

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,17 @@ from vpal import (
 # All v-palindromes up to 1000, both orientations (prefix of OEIS A338039):
 # four canonical pairs (18,81), (198,891), (576,675), (819,918).
 ALL_MODE_BELOW_1000 = [18, 81, 198, 576, 675, 819, 891, 918]
+
+
+class CountedShards(list):
+    """A shard list that counts how many shards have been taken from it."""
+
+    taken = 0
+
+    def __iter__(self):
+        for shard in super().__iter__():
+            self.taken += 1
+            yield shard
 
 
 class TestPredicate:
@@ -191,20 +203,23 @@ class TestEnumerate:
         assert palindromes_mod._shard_hits(1, 9, 10, False) == []
 
     def test_shard_map_keeps_order_and_bounds_the_window(self):
-        class CountedShards(list):
-            taken = 0
-
-            def __iter__(self):
-                for shard in super().__iter__():
-                    self.taken += 1
-                    yield shard
-
         shards = CountedShards((-i,) for i in range(40))
         results = palindromes_mod._shard_map(abs, shards, 2)
         assert next(results) == 0
-        assert shards.taken <= 2 * 2 + 1
+        taken = shards.taken
+        assert taken < 40
+        time.sleep(0.2)
+        assert shards.taken == taken  # nothing is submitted while suspended
         assert list(results) == list(range(1, 40))
         assert list(palindromes_mod._shard_map(abs, [(-3,), (-1,)], 1)) == [3, 1]
+
+    def test_shard_map_runs_past_a_slow_shard(self):
+        shards = CountedShards([(0.5,)] + [(0,)] * 39)
+        results = palindromes_mod._shard_map(time.sleep, shards, 2)
+        assert next(results) is None
+        # the second worker went on while the first shard slept
+        assert shards.taken > 2 * 2 + 1
+        assert len(list(results)) == 39
 
     def test_reversal_image_beyond_int64_rejected(self):
         with pytest.raises(DomainError):
