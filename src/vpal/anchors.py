@@ -17,12 +17,13 @@ from datetime import datetime, timezone
 from .arith import (  # noqa: F401
     DEFAULT_ROUNDS,
     PrimalityVerdict,
+    _check_rounds,
     is_prime,
     spf_sieve,
     v,
     v_with_table,
 )
-from .digits import reverse
+from .digits import _check_base, reverse
 from .errors import CheckpointCorrupt, DomainError
 from .palindromes import _check_int64_reach, _prime_shard_hits, _shard_map, _shards
 
@@ -72,11 +73,17 @@ def check_anchor(m: int, rounds: int = DEFAULT_ROUNDS,
     verdicts themselves always say which kind of evidence backs them.
     """
     p, q = anchor(m)
-    pv = is_prime(p, rounds)
-    qv = is_prime(q, rounds)
+    return _anchor_result(m, is_prime(p, rounds), is_prime(q, rounds), floor)
+
+
+def _anchor_result(m: int, p_verdict: PrimalityVerdict, q_verdict: PrimalityVerdict,
+                   floor: int = CANDIDATE_FLOOR) -> AnchorResult:
+    """The AnchorResult at m for the given verdicts: a candidate when m meets
+    the floor and neither member is composite."""
+    p, q = anchor(m)
     meets = m >= floor
-    cand = meets and pv.non_composite and qv.non_composite
-    return AnchorResult(m, p, q, pv, qv, meets, cand)
+    cand = meets and p_verdict.non_composite and q_verdict.non_composite
+    return AnchorResult(m, p, q, p_verdict, q_verdict, meets, cand)
 
 
 def converse_identity(m: int) -> bool:
@@ -112,12 +119,8 @@ def _result_from_record(rec: dict, rounds: int) -> AnchorResult:
         raise ValueError(f"anchor index must be an integer >= 1, got {m!r}")
     if rec["rounds"] != rounds:
         raise ValueError(f"record rounds {rec['rounds']!r} differ from the header's")
-    p, q = anchor(m)
-    pv = _verdict_from_record(rec, "p", rounds)
-    qv = _verdict_from_record(rec, "q", rounds)
-    meets = m >= CANDIDATE_FLOOR
-    cand = meets and pv.non_composite and qv.non_composite
-    return AnchorResult(m, p, q, pv, qv, meets, cand)
+    return _anchor_result(m, _verdict_from_record(rec, "p", rounds),
+                          _verdict_from_record(rec, "q", rounds))
 
 
 def _read_checkpoint(path: str, rounds: int) -> dict[int, AnchorResult]:
@@ -166,8 +169,19 @@ def _read_checkpoint(path: str, rounds: int) -> dict[int, AnchorResult]:
     return done
 
 
+def _write_durably(fh, rec: dict) -> None:
+    """Append rec to the checkpoint as one json line and fsync it, so that
+    an interrupted search loses at most the line being written."""
+    try:
+        fh.write(json.dumps(rec) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    except OSError as exc:
+        raise CheckpointCorrupt(f"cannot write checkpoint {fh.name}: {exc}") from exc
+
+
 def _append_record(fh, result: AnchorResult, rounds: int) -> None:
-    rec = {
+    _write_durably(fh, {
         "record": "result",
         "m": result.m,
         "p_status": result.p_verdict.status,
@@ -176,10 +190,7 @@ def _append_record(fh, result: AnchorResult, rounds: int) -> None:
         "q_certainty": result.q_verdict.certainty,
         "rounds": rounds,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    fh.write(json.dumps(rec) + "\n")
-    fh.flush()
-    os.fsync(fh.fileno())
+    })
 
 
 def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
@@ -190,13 +201,15 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
     With a checkpoint path, previously recorded indices are loaded instead
     of recomputed and each fresh result is appended and fsynced before the
     next one starts, so an interrupted search resumes at the last completed
-    record.  A file that fails validation raises CheckpointCorrupt; the
-    search never silently restarts over a damaged file.
+    record.  A file that fails validation, or cannot be written, raises
+    CheckpointCorrupt; the search never silently restarts over a damaged
+    file.
     """
     if m_lo < 1:
         raise DomainError(f"anchor index must be >= 1, got {m_lo}")
     if m_hi < m_lo:
         raise DomainError(f"empty index range [{m_lo}, {m_hi}]")
+    _check_rounds(rounds)
     done: dict[int, AnchorResult] = {}
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         done = _read_checkpoint(checkpoint_path, rounds)
@@ -206,19 +219,18 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
     fh = None
     try:
         if checkpoint_path is not None:
-            new_file = not os.path.exists(checkpoint_path) or \
-                os.path.getsize(checkpoint_path) == 0
-            fh = open(checkpoint_path, "a", encoding="utf-8")
-            if new_file:
-                header = {
+            try:
+                fh = open(checkpoint_path, "a", encoding="utf-8")
+            except OSError as exc:
+                raise CheckpointCorrupt(
+                    f"cannot write checkpoint {checkpoint_path}: {exc}") from exc
+            if fh.tell() == 0:  # a new or empty file
+                _write_durably(fh, {
                     "record": "header",
                     "format": _CHECKPOINT_FORMAT,
                     "version": _CHECKPOINT_VERSION,
                     "rounds": rounds,
-                }
-                fh.write(json.dumps(header) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+                })
         # results arrive in ascending m, so records are appended in order
         for result in _shard_map(check_anchor, [(m, rounds) for m in todo], workers):
             fresh[result.m] = result
@@ -254,9 +266,9 @@ def verify_characterization(bound: int, base: int = 10, workers: int = 1,
     """
     if bound < 2:
         raise DomainError(f"bound must be >= 2, got {bound}")
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
+    _check_base(base)
     _check_int64_reach(bound, base)
+    _check_rounds(rounds)
     brute = _brute_force_hits(bound, base, workers)
     brute_set = set(brute)
     chars: list[int] = []

@@ -101,6 +101,11 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
+def _check_rounds(rounds: int) -> None:
+    if rounds < 1:
+        raise DomainError(f"rounds must be positive, got {rounds}")
+
+
 def is_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     """Primality verdict for n, deterministic below DETERMINISTIC_BOUND.
 
@@ -109,8 +114,7 @@ def is_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     """
     if n < 0:
         raise DomainError(f"primality is defined for nonnegative integers, got {n}")
-    if rounds < 1:
-        raise DomainError(f"rounds must be positive, got {rounds}")
+    _check_rounds(rounds)
     if n < 2:
         return PrimalityVerdict("composite")
     for p in _WITNESSES:
@@ -189,10 +193,6 @@ def _brent_rho(m: int, counter: _Budget) -> int:
         # cycle degenerated for this increment; try the next one
 
 
-def _sorted_factors(found: dict) -> list[tuple[int, int]]:
-    return sorted(found.items())
-
-
 def factorize(n: int, budget: int | None = None) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as strictly ascending (prime, exponent)
     pairs; 1 factors into the empty list.
@@ -217,7 +217,7 @@ def factorize(n: int, budget: int | None = None) -> list[tuple[int, int]]:
             fully_tried = True
             break
         if not counter.spend():
-            raise BudgetExceeded(_sorted_factors(found), x)
+            raise BudgetExceeded(sorted(found.items()), x)
         if x % p == 0:
             e = 0
             while x % p == 0:
@@ -225,11 +225,11 @@ def factorize(n: int, budget: int | None = None) -> list[tuple[int, int]]:
                 e += 1
             found[p] = e
     if x == 1:
-        return _sorted_factors(found)
+        return sorted(found.items())
     if fully_tried:
         # trial division covered all primes up to sqrt(x), so x is prime
         found[x] = found.get(x, 0) + 1
-        return _sorted_factors(found)
+        return sorted(found.items())
     pending = [x]
     m = x
     try:
@@ -245,8 +245,8 @@ def factorize(n: int, budget: int | None = None) -> list[tuple[int, int]]:
         cofactor = m
         for rest in pending:
             cofactor *= rest
-        raise BudgetExceeded(_sorted_factors(found), cofactor) from None
-    return _sorted_factors(found)
+        raise BudgetExceeded(sorted(found.items()), cofactor) from None
+    return sorted(found.items())
 
 
 def iota(alpha: int) -> int:
@@ -334,8 +334,9 @@ def v_progression(a: int, step: int, count: int,
     terms at s = -a/step mod p, then every p-th one, so each power p**k is
     multiplied into the found part of those terms through one strided
     slice (a multiply costs a fraction of an int64 division).  A prime that
-    divides step divides either every term or none and is peeled off on its
-    own.
+    divides step divides either every term or none; the power all terms
+    share is multiplied in at once, and the rest of p falls on strided terms
+    of the quotient progression as above.
     ``primes``, when given, is an ascending prime table reaching at least
     the square root of the last term (larger entries are ignored); by
     default it is computed.  Every term must fit in int64.
@@ -358,21 +359,29 @@ def v_progression(a: int, step: int, count: int,
     # walk the table in slices so that no list of all of it is built
     slices = (primes[i : i + _PRIME_SLICE].tolist() for i in range(0, primes.size, _PRIME_SLICE))
     for p in itertools.chain.from_iterable(slices):
+        b, t, e = a, step, 1  # e: the exponent of p the next strike brings
         if step % p == 0:
-            if a % p == 0:
-                _peel_every_term(found, acc, p, a, step)
-            continue
-        # p**k divides the terms s = -a/step mod p**k, every p**k-th on;
-        # exponent 1 adds p, reaching 2 adds iota(2) = 2, each later one 1
-        q, k = p, 1
+            # p divides every term or none.  All share p**d with
+            # d = min(v_p(a), v_p(step)); with that divided out, the quotient
+            # terms b + s*t hold more of p only when p no longer divides t
+            while b % p == 0 and t % p == 0:
+                b, t, e = b // p, t // p, e + 1
+            if e > 1:
+                found *= p ** (e - 1)
+                acc += p + iota(e - 1)
+            if t % p == 0:
+                continue
+        # p**k divides the quotient terms s = -b/t mod p**k, every p**k-th
+        # on; exponent 1 adds p, reaching 2 adds iota(2) = 2, each later one 1
+        q = p
         while q <= last:
-            s = -a * pow(step, -1, q) % q
+            s = -b * pow(t, -1, q) % q
             if s >= count:
                 break
             found[s::q] *= p
-            acc[s::q] += p if k == 1 else 2 if k == 2 else 1
+            acc[s::q] += p if e == 1 else 2 if e == 2 else 1
             q *= p
-            k += 1
+            e += 1
     # what survives is 1 or a single prime: a composite survivor would
     # exceed the last term, since its prime factors all exceed its root
     rem = np.arange(count, dtype=np.int64)
@@ -382,34 +391,6 @@ def v_progression(a: int, step: int, count: int,
     rem[rem == 1] = 0
     acc += rem
     return acc
-
-
-def _peel_every_term(found: np.ndarray, acc: np.ndarray, p: int, a: int, step: int) -> None:
-    """Multiply the power of p in each term a + s*step, all of which p
-    divides, into ``found``, adding p + iota(e) to each term's v.
-
-    Every term shares p**d with d = min(v_p(a), v_p(step)).  When
-    v_p(a) < v_p(step) that is all of p in every term; otherwise the
-    quotient progression has a step prime to p, and its higher powers of p
-    fall on strided terms as in v_progression.
-    """
-    d = 0
-    while a % p == 0 and step % p == 0:
-        a, step, d = a // p, step // p, d + 1
-    found *= p**d
-    acc += p + (d if d > 1 else 0)
-    if step % p == 0:
-        return
-    # d >= 1, so each further power takes the exponent to 2 or beyond
-    q, e, last = p, d + 1, a + (found.size - 1) * step
-    while q <= last:
-        s = -a * pow(step, -1, q) % q
-        if s >= found.size:
-            break
-        found[s::q] *= p
-        acc[s::q] += 2 if e == 2 else 1
-        q *= p
-        e += 1
 
 
 def v_segment(lo: int, hi: int) -> np.ndarray:

@@ -21,45 +21,33 @@ from .errors import (
     DomainError,
     HeterogeneousRecords,
 )
-from .heuristic import DEFAULT_C, KahanSum, envelope_term, expected_count
+from .heuristic import DEFAULT_C, envelope_term, expected_count
 from .palindromes import as_hit, enumerate_v_palindromes, family_nines, family_repeat18
 
 _FORMATS = ("table", "jsonl", "csv", "bfile")
 
 
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
+def _setting(args, name: str, default=None):
+    """The --name flag if given, else the integer in VPAL_<NAME> if set and
+    nonempty, else default."""
+    value = getattr(args, name)
+    if value is not None:
+        return value
+    env = f"VPAL_{name.upper()}"
+    raw = os.environ.get(env, "")
+    if raw == "":
+        return default
     try:
         return int(raw)
     except ValueError:
-        raise DomainError(f"environment variable {name} must be an integer, got {raw!r}")
+        raise DomainError(f"environment variable {env} must be an integer, got {raw!r}")
 
 
 def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        value = args.threads
-    else:
-        value = _env_int("VPAL_THREADS")
-        if value is None:
-            value = os.cpu_count() or 1
+    value = _setting(args, "threads", os.cpu_count() or 1)
     if value < 1:
         raise DomainError(f"thread count must be >= 1, got {value}")
     return value
-
-
-def _resolve_rounds(args) -> int:
-    if getattr(args, "rounds", None) is not None:
-        return args.rounds
-    value = _env_int("VPAL_ROUNDS")
-    return DEFAULT_ROUNDS if value is None else value
-
-
-def _resolve_budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    return _env_int("VPAL_BUDGET")
 
 
 def _emit(records, fmt: str, human_lines) -> None:
@@ -72,7 +60,7 @@ def _emit(records, fmt: str, human_lines) -> None:
 
 
 def _cmd_v(args) -> int:
-    value = v(args.n, _resolve_budget(args))
+    value = v(args.n, _setting(args, "budget"))
     _emit([output.scalar_record("v", args.n, value)], args.format, [str(value)])
     return 0
 
@@ -88,10 +76,7 @@ def _cmd_reverse(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.n < 1:
-        raise DomainError(f"the predicate is defined for n >= 1, got {args.n}")
-    budget = _resolve_budget(args)
-    hit = as_hit(args.n, args.base, budget)
+    hit = as_hit(args.n, args.base, _setting(args, "budget"))
     rev = None if args.n % args.base == 0 else reverse(args.n, args.base)
     if hit is not None:
         line = (
@@ -109,13 +94,8 @@ def _cmd_enumerate(args) -> int:
     hits = enumerate_v_palindromes(
         args.lo, args.hi, base=args.base, mode=mode, workers=_resolve_threads(args)
     )
-    if args.format == "table":
-        for hit in hits:
-            print(hit.n)
-    else:
-        output.write_records(
-            (output.hit_record(h) for h in hits), args.format, sys.stdout
-        )
+    # both views draw on the one stream of hits; _emit consumes only one
+    _emit((output.hit_record(h) for h in hits), args.format, (h.n for h in hits))
     return 0
 
 
@@ -134,7 +114,7 @@ def _cmd_anchors(args) -> int:
     results = search_anchors(
         args.m_lo,
         args.m_hi,
-        rounds=_resolve_rounds(args),
+        rounds=_setting(args, "rounds", DEFAULT_ROUNDS),
         checkpoint_path=args.checkpoint,
         workers=_resolve_threads(args),
     )
@@ -150,7 +130,9 @@ def _cmd_anchors(args) -> int:
 
 def _cmd_verify(args) -> int:
     rep = verify_characterization(
-        args.bound, workers=_resolve_threads(args), rounds=_resolve_rounds(args)
+        args.bound,
+        workers=_resolve_threads(args),
+        rounds=_setting(args, "rounds", DEFAULT_ROUNDS),
     )
     lines = [
         f"bound={rep.bound}",
@@ -165,17 +147,12 @@ def _cmd_verify(args) -> int:
 def _cmd_heuristic(args) -> int:
     C = DEFAULT_C if args.C is None else args.C
     rep = expected_count(args.n_start, args.n_end, C)
-    records = []
-    partial = KahanSum()
-    envelope = KahanSum()
-    for n, term in zip(range(rep.n_start, rep.N + 1), rep.terms):
-        partial.add(term)
-        envelope.add(envelope_term(n, C))
-        records.append(
-            output.heuristic_term_record(
-                n, C, term, envelope_term(n, C), partial.total, envelope.total
-            )
+    records = [
+        output.heuristic_term_record(n, C, term, envelope_term(n, C), partial, envelope)
+        for n, term, partial, envelope in zip(
+            range(rep.n_start, rep.N + 1), rep.terms, rep.partial_sums, rep.envelope_sums
         )
+    ]
     lines = [
         f"n={rec['n']} probability={rec['probability']!r} envelope={rec['envelope']!r}"
         for rec in records
@@ -193,12 +170,15 @@ def _cmd_heuristic(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    source = sys.stdin if args.input is None else open(args.input, encoding="utf-8")
     try:
-        records = list(output.read_jsonl(source))
-    finally:
-        if source is not sys.stdin:
-            source.close()
+        if args.input is None:
+            records = list(output.read_jsonl(sys.stdin))
+        else:
+            with open(args.input, encoding="utf-8") as source:
+                records = list(output.read_jsonl(source))
+    except (OSError, UnicodeDecodeError) as exc:
+        name = "stdin" if args.input is None else args.input
+        raise DomainError(f"cannot read {name}: {exc}") from exc
     output.write_records(records, args.format, sys.stdout)
     return 0
 

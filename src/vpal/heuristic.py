@@ -40,15 +40,27 @@ class KahanSum:
 
 @dataclass(frozen=True)
 class HeuristicReport:
-    """Per-index twin probabilities with their envelope and tail bound."""
+    """Per-index twin probabilities with their envelope and tail bound.
+
+    ``partial_sums`` and ``envelope_sums`` are the running sums of the
+    terms and of their envelope over n_start..N, one entry per index.
+    """
 
     C: float
     n_start: int
     N: int
     terms: list[float]
-    partial_sum: float
-    envelope_sum: float
+    partial_sums: list[float]
+    envelope_sums: list[float]
     tail_bound: float
+
+    @property
+    def partial_sum(self) -> float:
+        return self.partial_sums[-1]
+
+    @property
+    def envelope_sum(self) -> float:
+        return self.envelope_sums[-1]
 
 
 def _log_anchor(n: int) -> float:
@@ -58,22 +70,24 @@ def _log_anchor(n: int) -> float:
     return n * _LN10 + _LN5
 
 
+def _check_model(n: int, C: float, what: str = "index") -> None:
+    """DomainError unless n >= 1 and C is finite and positive."""
+    if n < 1:
+        raise DomainError(f"{what} must be >= 1, got {n}")
+    if not (C > 0 and math.isfinite(C)):
+        raise DomainError(f"model constant must be finite and positive, got {C}")
+
+
 def pair_probability(n: int, C: float = DEFAULT_C) -> float:
     """Model bound C / log(5*10**n - 3)**2 on both anchors being prime."""
-    if n < 1:
-        raise DomainError(f"index must be >= 1, got {n}")
-    if C <= 0:
-        raise DomainError(f"model constant must be positive, got {C}")
+    _check_model(n, C)
     lg = _log_anchor(n)
     return C / (lg * lg)
 
 
 def envelope_term(n: int, C: float = DEFAULT_C) -> float:
     """The dominating term 100*C/n**2."""
-    if n < 1:
-        raise DomainError(f"index must be >= 1, got {n}")
-    if C <= 0:
-        raise DomainError(f"model constant must be positive, got {C}")
+    _check_model(n, C)
     return 100.0 * C / (n * n)
 
 
@@ -83,26 +97,25 @@ def expected_count(n_start: int, N: int, C: float = DEFAULT_C) -> HeuristicRepor
     Terms are accumulated in ascending n with compensated summation;
     tail_bound = 100*C/N dominates the envelope series beyond N.
     """
-    if n_start < 1:
-        raise DomainError(f"start index must be >= 1, got {n_start}")
+    _check_model(n_start, C, "start index")
     if N < n_start:
         raise DomainError(f"empty index range [{n_start}, {N}]")
-    if C <= 0:
-        raise DomainError(f"model constant must be positive, got {C}")
-    terms = []
+    terms, partial_sums, envelope_sums = [], [], []
     partial = KahanSum()
     envelope = KahanSum()
     for n in range(n_start, N + 1):
         t = pair_probability(n, C)
         terms.append(t)
         partial.add(t)
+        partial_sums.append(partial.total)
         envelope.add(envelope_term(n, C))
+        envelope_sums.append(envelope.total)
     return HeuristicReport(
         C=C,
         n_start=n_start,
         N=N,
         terms=terms,
-        partial_sum=partial.total,
-        envelope_sum=envelope.total,
+        partial_sums=partial_sums,
+        envelope_sums=envelope_sums,
         tail_bound=100.0 * C / N,
     )

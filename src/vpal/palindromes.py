@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import INT64_MAX, _cached_primes, prime_flags, v, v_progression, v_segment
-from .digits import length, reverse
+from .digits import _check_base, length, reverse
 from .errors import DomainError
 
 # Shards are at most this wide and cut at fixed points (_shard_width), which
@@ -41,28 +41,16 @@ def is_v_palindrome(n: int, base: int = 10, budget: int | None = None) -> bool:
     Multiples of the base and reversal fixed points return False rather
     than raising; only n < 1 is a domain error.
     """
-    if n < 1:
-        raise DomainError(f"the predicate is defined for n >= 1, got {n}")
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
-    if n % base == 0:
-        return False
-    r = reverse(n, base)
-    if r == n:
-        return False
-    return v(n, budget) == v(r, budget)
+    return as_hit(n, base, budget) is not None
 
 
 def as_hit(n: int, base: int = 10, budget: int | None = None):
     """VPalindromeHit for n when it is a v-palindrome, else None."""
     if n < 1:
         raise DomainError(f"the predicate is defined for n >= 1, got {n}")
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
-    if n % base == 0:
-        return None
+    _check_base(base)
     r = reverse(n, base)
-    if r == n:
+    if not _candidates(n, r, base, False):
         return None
     shared = v(n, budget)
     if shared != v(r, budget):
@@ -115,7 +103,8 @@ def _sieve_pays(terms: int, last: int) -> bool:
 
 def _candidates(n, r, base: int, canonical: bool):
     """Whether n with reversal r is tested at all: b does not divide n, r
-    differs from n, and in canonical mode r > n.  Works on ints and,
+    differs from n, and in canonical mode r > n.  The predicate (as_hit)
+    and both shard scanners filter with it.  Works on ints and,
     elementwise, on arrays."""
     return (n % base != 0) & (r != n) & ((r > n) | (not canonical))
 
@@ -260,8 +249,7 @@ def enumerate_v_palindromes(lo: int, hi: int, base: int = 10, mode: str = "all",
     int64, so base**length(hi) must fit in int64 (hi < 10**18 in base 10);
     a larger hi raises DomainError.
     """
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
+    _check_base(base)
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
     start = max(lo, 1)

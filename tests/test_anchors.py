@@ -181,6 +181,28 @@ class TestSearchAnchors:
         with pytest.raises(CheckpointCorrupt):
             search_anchors(1, 3, rounds=8, checkpoint_path=str(path))
 
+    def test_rounds_below_one_rejected_before_the_checkpoint_opens(self, tmp_path):
+        path = tmp_path / "search.ckpt"
+        for rounds in (0, -3):
+            with pytest.raises(DomainError, match="rounds"):
+                search_anchors(1, 2, rounds=rounds, checkpoint_path=str(path))
+        assert not path.exists()
+
+    def test_unwritable_checkpoint_refuses(self, tmp_path):
+        path = tmp_path / "missing-dir" / "search.ckpt"
+        with pytest.raises(CheckpointCorrupt, match="cannot write checkpoint"):
+            search_anchors(1, 2, checkpoint_path=str(path))
+
+    def test_failed_record_write_refuses(self, tmp_path, monkeypatch):
+        path = tmp_path / "search.ckpt"
+
+        def no_space(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(anchors_mod.os, "fsync", no_space)
+        with pytest.raises(CheckpointCorrupt, match="cannot write checkpoint"):
+            search_anchors(1, 2, checkpoint_path=str(path))
+
 
 def _tampered(tmp_path, **changes):
     """A valid checkpoint for m in [1, 4] plus a copy of its m=4 record
@@ -258,6 +280,14 @@ class TestVerifyCharacterization:
     def test_bound_below_two_rejected(self):
         with pytest.raises(DomainError):
             verify_characterization(1)
+
+    def test_rounds_below_one_rejected_before_the_brute_force(self, monkeypatch):
+        def brute_force(*args):
+            raise AssertionError("the brute force ran")
+
+        monkeypatch.setattr(anchors_mod, "_brute_force_hits", brute_force)
+        with pytest.raises(DomainError, match="rounds"):
+            verify_characterization(10**4, rounds=0)
 
     def test_reversal_beyond_bound_handled(self):
         # bound not a power of ten: reversals can exceed the sieve table

@@ -155,6 +155,26 @@ def test_anchors_checkpoint_corrupt_exit(tmp_path, capsys):
     assert "checkpoint" in err or "ck.jsonl" in err
 
 
+def test_anchors_rounds_below_one_writes_no_checkpoint(tmp_path, capsys):
+    path = tmp_path / "ck.jsonl"
+    code, out, err = run_cli(
+        capsys, "anchors", "--from", "1", "--to", "2", "--rounds", "0",
+        "--checkpoint", str(path),
+    )
+    assert (code, out) == (1, "")
+    assert "error: rounds must be positive" in err
+    assert not path.exists()
+
+
+def test_anchors_checkpoint_in_missing_dir_exit(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "ck.jsonl"
+    code, out, err = run_cli(
+        capsys, "anchors", "--from", "1", "--to", "2", "--checkpoint", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write checkpoint")
+
+
 def test_verify(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--bound", "10000", "--threads", "1", "--format", "jsonl"
@@ -193,6 +213,15 @@ def test_heuristic_csv_homogeneous(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,C,probability,envelope,partial_sum,envelope_partial_sum"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("C", ["nan", "inf", "-inf", "0"])
+def test_heuristic_rejects_non_finite_or_nonpositive_C(capsys, C):
+    code, out, err = run_cli(
+        capsys, "heuristic", "--from", "1", "--to", "2", f"--C={C}", "--format", "jsonl"
+    )
+    assert (code, out) == (1, "")
+    assert "error: model constant must be finite and positive" in err
 
 
 def test_export_round_trip(capsys, monkeypatch):
@@ -237,6 +266,22 @@ def test_export_from_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "export", "--format", "bfile", "--input", str(src))
     assert code == 0
     assert out == "1 18\n"
+
+
+def test_export_missing_file_exit(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "export", "--format", "bfile", "--input", str(tmp_path / "missing")
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read")
+
+
+def test_export_non_utf8_file_exit(tmp_path, capsys):
+    src = tmp_path / "records.jsonl"
+    src.write_bytes(b'{"schema_version": "1", "kind": "\xff"}\n')
+    code, out, err = run_cli(capsys, "export", "--format", "bfile", "--input", str(src))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read")
 
 
 def test_env_rounds_and_flag_precedence(capsys, monkeypatch):

@@ -33,6 +33,15 @@ def test_pair_probability_domain_errors():
         pair_probability(3, -1.0)
 
 
+@pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf])
+def test_model_constant_must_be_finite(C):
+    for fn in (pair_probability, envelope_term):
+        with pytest.raises(DomainError):
+            fn(3, C)
+    with pytest.raises(DomainError):
+        expected_count(1, 5, C)
+
+
 def test_log_branches_agree_at_threshold():
     # exact bignum log vs. asymptotic form around the switch point
     for n in range(60, 70):
@@ -112,6 +121,21 @@ def test_expected_count_domain_errors():
         expected_count(5, 4, 1.0)
     with pytest.raises(DomainError):
         expected_count(1, 5, 0.0)
+
+
+@pytest.mark.parametrize("n_start,N,C", [(1, 1, 1.0), (1, 300, 1.0), (3, 30, 2.0),
+                                         (60, 70, 0.5), (500, 2000, 1.0)])
+def test_running_sums_are_compensated_prefix_sums(n_start, N, C):
+    rep = expected_count(n_start, N, C)
+    partial, envelope = KahanSum(), KahanSum()
+    for i, (n, term) in enumerate(zip(range(n_start, N + 1), rep.terms)):
+        partial.add(term)
+        envelope.add(envelope_term(n, C))
+        assert rep.partial_sums[i] == partial.total
+        assert rep.envelope_sums[i] == envelope.total
+    assert len(rep.partial_sums) == len(rep.envelope_sums) == len(rep.terms) == N - n_start + 1
+    assert rep.partial_sums[-1] == rep.partial_sum
+    assert rep.envelope_sums[-1] == rep.envelope_sum
 
 
 def test_kahan_sum_tracks_fsum():
