@@ -22,7 +22,12 @@ from .errors import (
     HeterogeneousRecords,
 )
 from .heuristic import DEFAULT_C, envelope_term, expected_count
-from .palindromes import as_hit, enumerate_v_palindromes, family_nines, family_repeat18
+from .palindromes import (
+    enumerate_v_palindromes,
+    family_nines,
+    family_repeat18,
+    reversal_and_hit,
+)
 
 _FORMATS = ("table", "jsonl", "csv", "bfile")
 
@@ -76,8 +81,9 @@ def _cmd_reverse(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    hit = as_hit(args.n, args.base, _setting(args, "budget"))
-    rev = None if args.n % args.base == 0 else reverse(args.n, args.base)
+    rev, hit = reversal_and_hit(args.n, args.base, _setting(args, "budget"))
+    if args.n % args.base == 0:
+        rev = None
     if hit is not None:
         line = (
             f"{args.n} is a v-palindrome in base {args.base}: "

@@ -8,6 +8,7 @@ sum 1/n**2, which converges: only finitely many are expected.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -17,6 +18,10 @@ DEFAULT_C = 1.0
 # Below this index the anchor value is small enough to take an exact bignum
 # log; above it the correction term is far below double precision.
 _EXACT_LOG_MAX = 64
+
+# The envelope sum stays below 100*C*pi**2/6 < 165*C, so below this C every
+# term, running sum and bound is a finite double.
+C_MAX = sys.float_info.max / 165
 
 _LN10 = math.log(10.0)
 _LN5 = math.log(5.0)
@@ -71,11 +76,13 @@ def _log_anchor(n: int) -> float:
 
 
 def _check_model(n: int, C: float, what: str = "index") -> None:
-    """DomainError unless n >= 1 and C is finite and positive."""
+    """DomainError unless n >= 1 and 0 < C <= C_MAX."""
     if n < 1:
         raise DomainError(f"{what} must be >= 1, got {n}")
-    if not (C > 0 and math.isfinite(C)):
-        raise DomainError(f"model constant must be finite and positive, got {C}")
+    if not 0 < C <= C_MAX:
+        raise DomainError(
+            f"model constant must be finite and positive, at most {C_MAX!r}, got {C}"
+        )
 
 
 def pair_probability(n: int, C: float = DEFAULT_C) -> float:

@@ -3,6 +3,15 @@ infinite families.
 
 A v-palindrome in base b is an n >= 1 with b not dividing n, n different
 from its b-reverse r, and v(n) = v(r).
+
+The scanners skip every n whose v(n) no reversal value can share, by the
+composite bound: v(m) <= m/2 + 2 for every composite m.  For m = ab with
+coprime a, b >= 2, v(m) = v(a) + v(b) <= a + b <= ab/2 + 2, since
+ab/2 + 2 - a - b = (a-2)(b-2)/2; for m = p**e with e >= 2,
+p + e <= p**e/2 + 2.  So v(r) = v(n) needs r prime with r = v(n), or
+v(n) <= r/2 + 2.  For a prime n, v(n) = n and r != n, so n can be a hit
+only when r >= 2n - 4; the known prime hits in other bases (109 and 1789
+in base 16, 3469 in base 100) meet it with equality.
 """
 
 import itertools
@@ -46,16 +55,21 @@ def is_v_palindrome(n: int, base: int = 10, budget: int | None = None) -> bool:
 
 def as_hit(n: int, base: int = 10, budget: int | None = None):
     """VPalindromeHit for n when it is a v-palindrome, else None."""
+    return reversal_and_hit(n, base, budget)[1]
+
+
+def reversal_and_hit(n: int, base: int = 10, budget: int | None = None):
+    """(reverse(n), as_hit(n)): the predicate with the reversal it used."""
     if n < 1:
         raise DomainError(f"the predicate is defined for n >= 1, got {n}")
     _check_base(base)
     r = reverse(n, base)
     if not _candidates(n, r, base, False):
-        return None
+        return r, None
     shared = v(n, budget)
     if shared != v(r, budget):
-        return None
-    return VPalindromeHit(n, r, shared, base)
+        return r, None
+    return r, VPalindromeHit(n, r, shared, base)
 
 
 def _aligned_blocks(lo: int, hi: int, base: int):
@@ -109,6 +123,13 @@ def _candidates(n, r, base: int, canonical: bool):
     return (n % base != 0) & (r != n) & ((r > n) | (not canonical))
 
 
+def _may_share_v(r, vn):
+    """Whether v(r) can equal vn by the composite bound (module docstring):
+    r = vn, or vn <= r/2 + 2.  Filters next to _candidates; works on ints
+    and, elementwise, on arrays."""
+    return (vn <= r // 2 + 2) | (vn == r)
+
+
 def _sieving_primes(hi: int, base: int) -> np.ndarray:
     """The primes up to the root of base**length(hi): enough to sieve every
     n <= hi and every reversal of one."""
@@ -122,10 +143,11 @@ def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
     worth testing, ascending.
 
     The window is tiled into aligned blocks n = c*b**j + t; their reversals
-    are exactly reverse(c) + s*b**len(c) with s = rev_j(t).  When a block
-    keeps enough terms to pay for it, v of its reversals comes from one
-    progression sieve, read through rev_j; otherwise v(r) is computed per
-    candidate.
+    are exactly reverse(c) + s*b**len(c) with s = rev_j(t).  Only the kept
+    n that pass _candidates and _may_share_v are tested.  When enough of
+    them remain to pay for it, v of their reversals comes from one
+    progression sieve over the span of s they read; otherwise v(r) is
+    computed per candidate.
     """
     hi = lo + v_n.size - 1
     blocks = list(_aligned_blocks(lo, hi, base))
@@ -139,25 +161,20 @@ def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
         x = kept[i:k]
         a, step = reverse(c, base), base ** length(c, base)
         s = _digit_reversal(j, base)
-        first = c * s.size
-        if not _sieve_pays(x.size, a + step * (s.size - 1)):
-            for n in (lo + x).tolist():
-                r = a + step * int(s[n - first])
-                if _candidates(n, r, base, canonical):
-                    vn = int(v_n[n - lo])
-                    if v(r) == vn:
-                        out.append((n, r, vn))
-            continue
-        t = x + (lo - first)
-        n, r = first + t, a + step * s[t]
-        sel = np.flatnonzero(_candidates(n, r, base, canonical))
+        t = x + (lo - c * s.size)
+        n, r, vn = lo + x, a + step * s[t], v_n[x]
+        sel = np.flatnonzero(_candidates(n, r, base, canonical) & _may_share_v(r, vn))
         if not sel.size:
             continue
-        vn = v_n[x[sel]]
-        vr = v_progression(a, step, s.size, _sieving_primes(hi, base))[s[t[sel]]]
+        n, r, vn, s_read = n[sel], r[sel], vn[sel], s[t[sel]]
+        first, last = int(s_read.min()), int(s_read.max())
+        if _sieve_pays(sel.size, a + step * last):
+            vr = v_progression(a + step * first, step, last - first + 1,
+                               _sieving_primes(hi, base))[s_read - first]
+        else:
+            vr = np.array([v(q) for q in r.tolist()], dtype=np.int64)
         hit = np.flatnonzero(vn == vr)
-        sel = sel[hit]
-        out.extend(zip(n[sel].tolist(), r[sel].tolist(), vn[hit].tolist()))
+        out.extend(zip(n[hit].tolist(), r[hit].tolist(), vn[hit].tolist()))
     return out
 
 
@@ -170,18 +187,41 @@ def _shard_hits(lo: int, hi: int, base: int, canonical: bool) -> list[tuple[int,
     return _block_hits(lo, v_segment(lo, hi), None, base, canonical)
 
 
+def _prime_hit_spans(lo: int, hi: int, base: int) -> list[tuple[int, int]]:
+    """The parts of [lo, hi] that can hold a prime hit, as (start, end)
+    pairs, ascending, one per digit length.
+
+    A prime p is a hit only if its reversal r >= 2p - 4 (module docstring).
+    When p has L digits and leads with d, r has L digits and ends in d, so
+    r <= b**L - b + d.  Since 2p - d grows with p, the L-digit p with
+    2p - 4 <= b**L - b + d form a prefix of the L-digit numbers.  It ends
+    among the numbers led by d*, the largest d whose first number
+    d*b**(L-1) qualifies; in base 10 it ends at 5*10**(L-1) - 1.
+    """
+    spans = []
+    for L in range(length(lo, base), length(hi, base) + 1):
+        low = base ** (L - 1)
+        room = base**L - base + 4  # an L-digit p leading with d needs 2p - d <= room
+        d = min(base - 1, room // (2 * low - 1))
+        x, y = max(lo, low), min(hi, (d + 1) * low - 1, (room + d) // 2)
+        if x <= y:
+            spans.append((x, y))
+    return spans
+
+
 def _prime_shard_hits(lo: int, hi: int, base: int) -> list[int]:
     """The prime v-palindromes in [lo, hi], ascending.
 
-    The primes come from one segmented sieve.  v(p) = p for a prime, so p
-    is a hit exactly when v of its reversal equals p.
+    v(p) = p for a prime, so p is a hit exactly when v of its reversal
+    equals p.  The primes come from one segmented sieve per span of
+    _prime_hit_spans; the rest of the shard is never sieved.
     """
-    lo = max(lo, base)
-    if hi < lo:
-        return []
-    flags = prime_flags(lo, hi, _sieving_primes(hi, base))
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    return [p for p, _r, _v in _block_hits(lo, n, flags, base, False)]
+    out = []
+    for x, y in _prime_hit_spans(max(lo, base), hi, base):
+        flags = prime_flags(x, y, _sieving_primes(hi, base))
+        n = np.arange(x, y + 1, dtype=np.int64)
+        out += [p for p, _r, _v in _block_hits(x, n, flags, base, False)]
+    return out
 
 
 def _shard_width(base: int) -> int:

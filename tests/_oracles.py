@@ -66,3 +66,20 @@ def oracle_is_v_palindrome(n: int, base: int = 10) -> bool:
     if r == n:
         return False
     return oracle_v(n) == oracle_v(r)
+
+
+def oracle_v_upto(limit: int) -> list[int]:
+    """v(n) for n in 0..limit (0 at 0 and 1), by adding each prime power's
+    share to its multiples: p at p, 2 more at p**2, 1 more at each higher
+    power."""
+    table = [0] * (limit + 1)
+    flags = oracle_sieve(limit)
+    for p in range(2, limit + 1):
+        if not flags[p]:
+            continue
+        q, share = p, p
+        while q <= limit:
+            for m in range(q, limit + 1, q):
+                table[m] += share
+            q, share = q * p, 2 if q == p else 1
+    return table

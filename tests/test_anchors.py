@@ -309,15 +309,21 @@ class TestVerifyCharacterization:
         rep = verify_characterization(bound, base=base)
         assert rep.brute_force_hits == hits == _prime_v_palindromes(bound, base)
         assert verify_characterization(bound, base=base, workers=2) == rep
+        # every known hit has r = 2p - 4, the least reversal the composite
+        # bound lets a prime hit have
+        for p in hits:
+            assert reverse(p, base) == 2 * p - 4
+            assert palindromes_mod._prime_shard_hits(p, p, base) == [p]
 
     @pytest.mark.parametrize("bound,base", [
         *((b, base) for b in (2**17 - 3, 2**17 + 3, 10**5 - 3, 10**5 + 3)
           for base in (10, 16, 2)),
-        (10**6 + 7, 10),
+        (10**6 + 7, 10), (3 * 10**5, 2), (3 * 10**5, 3), (3 * 10**5, 16), (10**5, 100),
     ])
     def test_bounds_straddling_shard_and_decade_edges(self, bound, base):
         # base-10 shards end at multiples of 10**5, base-2 and base-16
-        # shards at multiples of 2**17
+        # shards at multiples of 2**17.  The brute force skips every prime
+        # with r < 2p - 4; the raw predicate tests them all.
         expected = _prime_v_palindromes(bound, base)
         assert anchors_mod._brute_force_hits(bound, base, 1) == expected
         assert anchors_mod._brute_force_hits(bound, base, 2) == expected

@@ -7,8 +7,10 @@ import sys
 import pytest
 
 from conftest import subprocess_env
-from vpal import check_anchor
+from vpal import check_anchor, reverse
 from vpal import cli
+from vpal import palindromes as palindromes_mod
+from vpal.heuristic import C_MAX
 from vpal.cli import main
 
 
@@ -47,6 +49,21 @@ def test_check_false_still_succeeds(capsys):
     code, out, _ = run_cli(capsys, "check", "19")
     assert code == 0
     assert "19 is not a v-palindrome" in out
+
+
+@pytest.mark.parametrize("n", ["198", "19", "100", "121"])
+def test_check_reverses_once(capsys, monkeypatch, n):
+    expected = run_cli(capsys, "check", n, "--format", "jsonl")
+    calls = []
+
+    def counted(m, base=10):
+        calls.append(m)
+        return reverse(m, base)
+
+    monkeypatch.setattr(palindromes_mod, "reverse", counted)
+    monkeypatch.setattr(cli, "reverse", counted)
+    assert run_cli(capsys, "check", n, "--format", "jsonl") == expected
+    assert calls == [int(n)]
 
 
 def test_check_jsonl(capsys):
@@ -215,13 +232,27 @@ def test_heuristic_csv_homogeneous(capsys):
     assert len(lines) == 4
 
 
-@pytest.mark.parametrize("C", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("C", ["nan", "inf", "-inf", "0", "1e307"])
 def test_heuristic_rejects_non_finite_or_nonpositive_C(capsys, C):
+    # 1e307 is finite, but its envelope sum would overflow
     code, out, err = run_cli(
         capsys, "heuristic", "--from", "1", "--to", "2", f"--C={C}", "--format", "jsonl"
     )
     assert (code, out) == (1, "")
     assert "error: model constant must be finite and positive" in err
+
+
+def test_heuristic_at_the_largest_C_is_valid_json(capsys):
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    code, out, _ = run_cli(
+        capsys, "heuristic", "--from", "1", "--to", "1000", "--C", repr(C_MAX),
+        "--format", "jsonl"
+    )
+    assert code == 0
+    recs = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+    assert recs[-1]["kind"] == "heuristic_summary" and len(recs) == 1001
 
 
 def test_export_round_trip(capsys, monkeypatch):

@@ -8,7 +8,7 @@ from vpal import (
     expected_count,
     pair_probability,
 )
-from vpal.heuristic import KahanSum, _log_anchor
+from vpal.heuristic import C_MAX, KahanSum, _log_anchor
 
 
 def test_pair_probability_values():
@@ -33,13 +33,19 @@ def test_pair_probability_domain_errors():
         pair_probability(3, -1.0)
 
 
-@pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf, math.nextafter(C_MAX, math.inf)])
 def test_model_constant_must_be_finite(C):
     for fn in (pair_probability, envelope_term):
         with pytest.raises(DomainError):
             fn(3, C)
     with pytest.raises(DomainError):
         expected_count(1, 5, C)
+
+
+def test_largest_model_constant_keeps_the_sums_finite():
+    rep = expected_count(1, 10**4, C_MAX)
+    assert all(math.isfinite(x) for x in (rep.partial_sum, rep.envelope_sum, rep.tail_bound))
+    assert math.isfinite(envelope_term(1, C_MAX))
 
 
 def test_log_branches_agree_at_threshold():

@@ -1,9 +1,12 @@
 import random
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from _oracles import oracle_is_v_palindrome
+from _oracles import oracle_is_v_palindrome, oracle_sieve, oracle_v, oracle_v_upto
 from vpal import palindromes as palindromes_mod
 from vpal import (
     DomainError,
@@ -13,6 +16,7 @@ from vpal import (
     family_nines,
     family_repeat18,
     is_v_palindrome,
+    length,
     reverse,
 )
 
@@ -257,3 +261,65 @@ class TestFamilies:
             assert is_v_palindrome(family_nines(k))
         for j in range(1, 11):
             assert is_v_palindrome(family_repeat18(j))
+
+
+class TestCompositeBound:
+    """v(m) <= m/2 + 2 for composite m, and the filters built on it."""
+
+    def test_oracle_table_matches_oracle_v(self):
+        table = oracle_v_upto(20_000)
+        assert table[1:] == [oracle_v(n) for n in range(1, 20_001)]
+
+    def test_bound_holds_to_a_million(self):
+        limit = 10**6
+        table, flags = oracle_v_upto(limit), oracle_sieve(limit)
+        assert all(2 * table[m] <= m + 4 for m in range(4, limit + 1) if not flags[m])
+        # v(r) always passes the filter when compared with itself
+        r = np.arange(2, limit + 1, dtype=np.int64)
+        assert palindromes_mod._may_share_v(r, np.array(table[2:], dtype=np.int64)).all()
+
+    @given(st.integers(2, 10**5), st.integers(2, 10**5))
+    def test_bound_holds_for_products(self, a, b):
+        m = a * b
+        assert 2 * oracle_v(m) <= m + 4
+        assert palindromes_mod._may_share_v(m, oracle_v(m))
+
+    def test_filter_is_tight(self):
+        may = palindromes_mod._may_share_v
+        # v(6) = 5 = 6/2 + 2 and v(4) = 4 = 4/2 + 2
+        assert may(6, 5) and may(4, 4) and not may(7, 6) and not may(8, 7)
+        # a prime p passes only against r >= 2p - 4, and against r = p
+        assert may(214, 109) and not may(213, 109) and may(109, 109)
+
+    @pytest.mark.parametrize("base", [2, 3, 10, 16, 100])
+    def test_prime_hit_spans_cover_every_possible_hit(self, base):
+        lo, hi = base, 30_000
+        spans = palindromes_mod._prime_hit_spans(lo, hi, base)
+        inside = np.zeros(hi + 1, dtype=bool)
+        for x, y in spans:
+            inside[x : y + 1] = True
+        # every n with a reversal r >= 2n - 4 lies in a span, and the n just
+        # past each span has none
+        for n in range(lo, hi + 1):
+            r = reverse(n, base)
+            if n % base and r != n and r >= 2 * n - 4:
+                assert inside[n], n
+        assert [length(x, base) for x, _ in spans] == sorted({length(x, base) for x, _ in spans})
+        for _, y in spans:
+            top, n = base ** length(y, base), y + 1
+            if n <= hi and n < top:
+                # top - base + d is the largest reversal of an L-digit n
+                # leading with d
+                assert 2 * n - 4 > top - base + n // (top // base)
+
+    def test_prime_hit_spans_base_ten(self):
+        assert palindromes_mod._prime_hit_spans(10, 10**6 - 1, 10) == [
+            (10, 49), (100, 499), (1000, 4999), (10**4, 49_999), (10**5, 499_999)]
+        assert palindromes_mod._prime_hit_spans(5 * 10**5, 10**6 - 1, 10) == []
+
+    def test_shard_past_the_bound_skips_the_prime_sieve(self, monkeypatch):
+        def no_sieve(lo, hi, primes):
+            raise AssertionError(f"sieved [{lo}, {hi}]")
+        monkeypatch.setattr(palindromes_mod, "prime_flags", no_sieve)
+        assert palindromes_mod._prime_shard_hits(5 * 10**5, 6 * 10**5 - 1, 10) == []
+        assert palindromes_mod._prime_shard_hits(5 * 10**6, 10**7 - 1, 10) == []
