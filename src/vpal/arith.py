@@ -10,7 +10,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,47 +43,54 @@ class PrimalityVerdict:
 
 _PRIME_SEGMENT = 1 << 18
 
+# (limit, all primes <= limit): the one prime table of the process.  It is
+# replaced whole, never edited, and only by a table for a larger limit.  Each
+# call slices the tuple it read or built, never a second read of this name,
+# so a racing call may sieve a range twice but never gets a short table.
+_prime_table = (1, np.zeros(0, dtype=np.int64))
+_prime_table[1].flags.writeable = False
 
-@lru_cache(maxsize=32)
-def _cached_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as a read-only int64 array.
 
-    Built segment by segment with prime_flags over the primes up to the
-    root, so no array of limit + 1 flags is ever held.
+def _primes_upto(limit: int) -> np.ndarray:
+    """All primes <= limit as a read-only ascending int64 array.
+
+    A prefix of the process's prime table.  A limit past the table grows it
+    to exactly that limit: the primes up to its root first, then
+    prime_flags segments over the new range only, so no array of limit + 1
+    flags is ever held.
     """
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    root_primes = _cached_primes(math.isqrt(limit))
-    pieces = [
-        lo + np.flatnonzero(
-            prime_flags(lo, min(lo + _PRIME_SEGMENT - 1, limit), root_primes))
-        for lo in range(0, limit + 1, _PRIME_SEGMENT)
-    ]
-    primes = np.concatenate(pieces)
-    primes.flags.writeable = False
-    return primes
+    global _prime_table
+    known, table = _prime_table
+    if limit > known:
+        _primes_upto(math.isqrt(limit))  # the segments below sieve with these
+        pieces = [table] + [
+            lo + np.flatnonzero(prime_flags(lo, min(lo + _PRIME_SEGMENT - 1, limit)))
+            for lo in range(known + 1, limit + 1, _PRIME_SEGMENT)
+        ]
+        table = np.concatenate(pieces)
+        table.flags.writeable = False
+        if limit > _prime_table[0]:
+            _prime_table = (limit, table)
+    return table[: np.searchsorted(table, limit, side="right")]
 
 
-def prime_flags(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+def prime_flags(lo: int, hi: int) -> np.ndarray:
     """Bool array over [lo, hi], True where lo + i is prime.
 
     A segmented sieve of Eratosthenes: each p <= sqrt(hi) strikes its
-    multiples from max(p*p, the first multiple >= lo) on.  ``primes`` is an
-    ascending prime table reaching at least sqrt(hi); larger entries are
-    ignored.
+    multiples from max(p*p, the first multiple >= lo) on.
     """
     if lo < 0:
         raise DomainError(f"segment start must be >= 0, got {lo}")
     flags = np.ones(max(hi - lo + 1, 0), dtype=bool)
     flags[: max(0, 2 - lo)] = False
-    used = primes[: np.searchsorted(primes, math.isqrt(max(hi, 0)), side="right")]
-    for p in used.tolist():
+    for p in _primes_upto(math.isqrt(max(hi, 0))).tolist():
         flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
     return flags
 
 
 _SMALL_PRIME_LIMIT = 4096
-_SMALL_PRIMES = tuple(_cached_primes(_SMALL_PRIME_LIMIT).tolist())
+_SMALL_PRIMES = tuple(_primes_upto(_SMALL_PRIME_LIMIT).tolist())
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -285,7 +291,7 @@ def oeis_G(n: int, budget: int | None = None) -> int:
 
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
-    return _cached_primes(limit).tolist()
+    return _primes_upto(limit).tolist()
 
 
 def spf_sieve(limit: int) -> np.ndarray:
@@ -325,8 +331,7 @@ INT64_MAX = np.iinfo(np.int64).max
 _PRIME_SLICE = 1 << 12
 
 
-def v_progression(a: int, step: int, count: int,
-                  primes: np.ndarray | None = None) -> np.ndarray:
+def v_progression(a: int, step: int, count: int) -> np.ndarray:
     """v(a + s*step) for every s in [0, count), as int64, indexed by s.
 
     One sieve over the progression with the primes up to the square root of
@@ -336,10 +341,7 @@ def v_progression(a: int, step: int, count: int,
     slice (a multiply costs a fraction of an int64 division).  A prime that
     divides step divides either every term or none; the power all terms
     share is multiplied in at once, and the rest of p falls on strided terms
-    of the quotient progression as above.
-    ``primes``, when given, is an ascending prime table reaching at least
-    the square root of the last term (larger entries are ignored); by
-    default it is computed.  Every term must fit in int64.
+    of the quotient progression as above.  Every term must fit in int64.
     """
     if a < 1 or step < 1:
         raise DomainError(f"progression start and step must be >= 1, got {a}, {step}")
@@ -350,10 +352,7 @@ def v_progression(a: int, step: int, count: int,
     last = a + (count - 1) * step
     if last > INT64_MAX:
         raise DomainError(f"progression term {last} does not fit in int64")
-    if primes is None:
-        primes = _cached_primes(math.isqrt(last))
-    else:
-        primes = primes[: np.searchsorted(primes, math.isqrt(last), side="right")]
+    primes = _primes_upto(math.isqrt(last))
     found = np.ones(count, dtype=np.int64)  # product of the prime powers found
     acc = np.zeros(count, dtype=np.int64)
     # walk the table in slices so that no list of all of it is built
@@ -397,7 +396,8 @@ def v_segment(lo: int, hi: int) -> np.ndarray:
     """v(n) for every n in [lo, hi] as int64, indexed by n - lo.
 
     The progression sieve with step 1: the whole block costs
-    O((hi-lo) log log hi) divisions instead of one factorization per n.
+    O((hi-lo) log log hi) strided multiplies and one division per n instead
+    of one factorization per n.
     """
     if lo < 1:
         raise DomainError(f"segment start must be >= 1, got {lo}")

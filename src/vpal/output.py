@@ -17,7 +17,8 @@ from .palindromes import VPalindromeHit
 
 SCHEMA_VERSION = "1"
 
-_CSV_FIELDS = {
+# The fields of each record kind, in record (and csv column) order.
+_FIELDS = {
     "v_palindrome": ("n", "reversal", "shared_v", "base"),
     "check": ("n", "base", "is_v_palindrome", "reversal", "shared_v"),
     "scalar": ("operation", "operand", "base", "value"),
@@ -35,76 +36,47 @@ _CSV_FIELDS = {
 _BFILE_FIELD = {"v_palindrome": "n", "scalar": "value"}
 
 
-def _record(kind: str, **fields) -> dict:
+def _record(kind: str, *values) -> dict:
+    """A record of ``kind`` with ``values`` in the order of _FIELDS[kind]."""
     rec = {"schema_version": SCHEMA_VERSION, "kind": kind}
-    rec.update(fields)
+    rec.update(zip(_FIELDS[kind], values, strict=True))
     return rec
 
 
 def hit_record(hit: VPalindromeHit) -> dict:
-    return _record("v_palindrome", n=hit.n, reversal=hit.reversal,
-                   shared_v=hit.shared_v, base=hit.base)
+    return _record("v_palindrome", hit.n, hit.reversal, hit.shared_v, hit.base)
 
 
 def check_record(n: int, base: int, reversal, hit) -> dict:
-    return _record(
-        "check",
-        n=n,
-        base=base,
-        is_v_palindrome=hit is not None,
-        reversal=reversal,
-        shared_v=None if hit is None else hit.shared_v,
-    )
+    return _record("check", n, base, hit is not None, reversal,
+                   None if hit is None else hit.shared_v)
 
 
 def scalar_record(operation: str, operand: int, value, base=None) -> dict:
-    return _record("scalar", operation=operation, operand=operand,
-                   base=base, value=value)
+    return _record("scalar", operation, operand, base, value)
 
 
 def anchor_record(res: AnchorResult) -> dict:
-    return _record(
-        "anchor",
-        m=res.m,
-        p=res.p,
-        q=res.q,
-        p_status=res.p_verdict.status,
-        p_certainty=res.p_verdict.certainty,
-        q_status=res.q_verdict.status,
-        q_certainty=res.q_verdict.certainty,
-        meets_floor=res.meets_floor,
-        is_candidate=res.is_candidate,
-    )
+    return _record("anchor", res.m, res.p, res.q, res.p_verdict.status,
+                   res.p_verdict.certainty, res.q_verdict.status,
+                   res.q_verdict.certainty, res.meets_floor, res.is_candidate)
 
 
 def verification_record(rep: VerificationReport) -> dict:
-    return _record(
-        "verification",
-        bound=rep.bound,
-        brute_force_hits=rep.brute_force_hits,
-        characterization_hits=rep.characterization_hits,
-        consistent=rep.consistent,
-    )
+    return _record("verification", rep.bound, rep.brute_force_hits,
+                   rep.characterization_hits, rep.consistent)
 
 
 def heuristic_term_record(n: int, C: float, probability: float,
                           envelope: float, partial_sum: float,
                           envelope_partial_sum: float) -> dict:
-    return _record("heuristic_term", n=n, C=C, probability=probability,
-                   envelope=envelope, partial_sum=partial_sum,
-                   envelope_partial_sum=envelope_partial_sum)
+    return _record("heuristic_term", n, C, probability, envelope, partial_sum,
+                   envelope_partial_sum)
 
 
 def heuristic_summary_record(rep: HeuristicReport) -> dict:
-    return _record(
-        "heuristic_summary",
-        C=rep.C,
-        n_start=rep.n_start,
-        N=rep.N,
-        partial_sum=rep.partial_sum,
-        envelope_sum=rep.envelope_sum,
-        tail_bound=rep.tail_bound,
-    )
+    return _record("heuristic_summary", rep.C, rep.n_start, rep.N,
+                   rep.partial_sum, rep.envelope_sum, rep.tail_bound)
 
 
 def _require_homogeneous(records: list[dict], fmt: str) -> str:
@@ -151,7 +123,7 @@ def write_csv(records, stream) -> None:
     if not records:
         return
     kind = _require_homogeneous(records, "csv")
-    fields = _CSV_FIELDS.get(kind)
+    fields = _FIELDS.get(kind)
     if fields is None:
         raise DomainError(f"no csv layout for records of kind {kind!r}")
     writer = csv.writer(stream, lineterminator="\n")

@@ -16,6 +16,7 @@ in base 16, 3469 in base 100) meet it with equality.
 
 import itertools
 import math
+import os
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import INT64_MAX, _cached_primes, prime_flags, v, v_progression, v_segment
+from .arith import INT64_MAX, prime_flags, v, v_progression, v_segment
 from .digits import _check_base, length, reverse
 from .errors import DomainError
 
@@ -130,12 +131,6 @@ def _may_share_v(r, vn):
     return (vn <= r // 2 + 2) | (vn == r)
 
 
-def _sieving_primes(hi: int, base: int) -> np.ndarray:
-    """The primes up to the root of base**length(hi): enough to sieve every
-    n <= hi and every reversal of one."""
-    return _cached_primes(math.isqrt(base ** length(hi, base)))
-
-
 def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
                 canonical: bool) -> list[tuple[int, int, int]]:
     """Hits among n in [lo, lo + len(v_n)) as (n, reversal, shared_v), given
@@ -169,8 +164,7 @@ def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
         n, r, vn, s_read = n[sel], r[sel], vn[sel], s[t[sel]]
         first, last = int(s_read.min()), int(s_read.max())
         if _sieve_pays(sel.size, a + step * last):
-            vr = v_progression(a + step * first, step, last - first + 1,
-                               _sieving_primes(hi, base))[s_read - first]
+            vr = v_progression(a + step * first, step, last - first + 1)[s_read - first]
         else:
             vr = np.array([v(q) for q in r.tolist()], dtype=np.int64)
         hit = np.flatnonzero(vn == vr)
@@ -218,7 +212,7 @@ def _prime_shard_hits(lo: int, hi: int, base: int) -> list[int]:
     """
     out = []
     for x, y in _prime_hit_spans(max(lo, base), hi, base):
-        flags = prime_flags(x, y, _sieving_primes(hi, base))
+        flags = prime_flags(x, y)
         n = np.arange(x, y + 1, dtype=np.int64)
         out += [p for p, _r, _v in _block_hits(x, n, flags, base, False)]
     return out
@@ -242,20 +236,30 @@ def _shards(lo: int, hi: int, base: int) -> list[tuple[int, int]]:
             for a in range(lo // width * width, hi + 1, width)]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _shard_map(fn, shards, workers: int):
     """fn(*shard) for every shard, yielded in shard order.
 
-    With more than one worker and shard, the shards run in a process pool.
-    New shards are submitted only while the generator runs, and at most two
-    per worker are submitted and unfinished at a time; a slow shard does not
-    stall the rest, whose results wait for it in order.  Closing the
-    generator cancels the shards not yet started.
+    The workers are capped at the shards and at the CPUs this process may
+    run on (the pool forks all of them at its first submit).  With more than
+    one worker left, the shards run in a process pool.  New shards are
+    submitted only while the generator runs, and at most two per worker are
+    submitted and unfinished at a time; a slow shard does not stall the
+    rest, whose results wait for it in order.  Closing the generator cancels
+    the shards not yet started.
     """
-    if workers <= 1 or len(shards) <= 1:
+    workers = min(workers, len(shards), _usable_cpus())
+    if workers <= 1:
         for shard in shards:
             yield fn(*shard)
         return
-    workers = min(workers, len(shards))
     queue = iter(shards)
     pending = deque()  # submitted, not yet yielded, in shard order
     running = set()  # submitted, not yet finished

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from vpal import (
     v_progression,
     v_segment,
 )
-from vpal.arith import _PRIME_SEGMENT, prime_flags, v_with_table
+from vpal import arith
+from vpal.arith import _PRIME_SEGMENT, _primes_upto, prime_flags, v_with_table
 
 # 2^89 - 1 is a Mersenne prime well above the deterministic witness range.
 BIG_PRIME = 2**89 - 1
@@ -193,6 +196,95 @@ class TestAdditiveFunctions:
             oeis_G(n, budget=600)
 
 
+def empty_prime_table(monkeypatch):
+    """Start the process's prime table over from nothing, for this test."""
+    empty = np.zeros(0, dtype=np.int64)
+    empty.flags.writeable = False
+    monkeypatch.setattr(arith, "_prime_table", (1, empty))
+
+
+class TestPrimeTable:
+    TOP = 3 * 10**6
+
+    @pytest.fixture(scope="class")
+    def oracle_primes(self):
+        return np.flatnonzero(oracle_sieve(self.TOP))
+
+    def test_limits_in_any_order_match_oracle(self, monkeypatch, oracle_primes):
+        # 2 and 4099 are primes, so a table grown from there must not repeat them
+        limits = [10, 10**6, 2**18 + 1, 2**18 - 1, 5 * 10**5, self.TOP, 1, 2, 4099]
+        for seed in range(4):
+            random.Random(seed).shuffle(limits)
+            empty_prime_table(monkeypatch)
+            for limit in limits:
+                got = _primes_upto(limit)
+                expected = oracle_primes[: np.searchsorted(oracle_primes, limit, side="right")]
+                assert got.tolist() == expected.tolist(), (seed, limit)
+
+    def test_returned_table_is_read_only(self, monkeypatch):
+        empty_prime_table(monkeypatch)
+        for limit in (1, 10, 10**5, 50):
+            got = _primes_upto(limit)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[:1] = 4
+
+    def test_smaller_request_keeps_the_table(self, monkeypatch):
+        empty_prime_table(monkeypatch)
+        _primes_upto(10**5)
+        grown = arith._prime_table
+        assert grown[0] == 10**5
+        for limit in (10**3, 1, 10**5, 99_999):
+            _primes_upto(limit)
+            assert arith._prime_table is grown
+
+    def test_growth_never_replaces_a_larger_table(self, monkeypatch, oracle_primes):
+        empty_prime_table(monkeypatch)
+        _primes_upto(1000)  # the roots up to 10**6, so the call below sieves at once
+        sieve = arith.prime_flags
+        interrupted = []
+
+        def racing_sieve(lo, hi):
+            # another caller grows the table to 10**6 while this one sieves
+            if not interrupted:
+                interrupted.append(lo)
+                _primes_upto(10**6)
+            return sieve(lo, hi)
+
+        monkeypatch.setattr(arith, "prime_flags", racing_sieve)
+        got = _primes_upto(10**5)
+        assert interrupted == [1001]
+        assert got.tolist() == oracle_primes[: np.searchsorted(oracle_primes, 10**5)].tolist()
+        assert arith._prime_table[0] == 10**6
+
+    def test_concurrent_callers_never_get_a_short_table(self, monkeypatch, oracle_primes):
+        top = 2 * 10**5
+        limits = list(range(50, top, 331))
+        counts = np.searchsorted(oracle_primes, limits, side="right")
+        workers, short = 8, []
+
+        def climb(i):
+            # each thread grows the table through its own share of limits
+            for limit, count in zip(limits[i::workers], counts[i::workers]):
+                if _primes_upto(limit).size != count:
+                    short.append(limit)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                empty_prime_table(monkeypatch)
+                threads = [threading.Thread(target=climb, args=(i,)) for i in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert short == []
+
+
 class TestSieves:
     def test_primes_upto_matches_oracle(self):
         flags = oracle_sieve(10**6)
@@ -207,22 +299,23 @@ class TestSieves:
 
     @pytest.mark.parametrize("lo,hi", [(0, 50), (1, 50), (2, 3), (3, 1000),
                                        (4, 4), (4, 10**4), (2**17 - 500, 2**17 + 500),
+                                       (2**18 - 500, 2**18 + 500),
                                        (999_900, 1_000_100), (10**9 - 300, 10**9)])
-    def test_prime_flags_match_v(self, lo, hi):
+    def test_prime_flags_match_v(self, lo, hi, monkeypatch):
         # a prime is exactly an n with v(n) = n, except 4 = 2**2 -> 2 + 2
         n = np.arange(max(lo, 1), hi + 1)
         expected = (v_segment(max(lo, 1), hi) == n) & (n != 4)
         if lo == 0:
             expected = np.concatenate(([False], expected))
-        table = primes_upto(math.isqrt(hi) + 100)  # larger entries are ignored
-        got = prime_flags(lo, hi, np.array(table, dtype=np.int64))
+        empty_prime_table(monkeypatch)  # prime_flags grows the table it sieves with
+        got = prime_flags(lo, hi)
         assert got.dtype == bool
         assert got.tolist() == expected.tolist()
 
     def test_prime_flags_edges(self):
-        assert len(prime_flags(10, 9, np.array([2, 3]))) == 0
+        assert len(prime_flags(10, 9)) == 0
         with pytest.raises(DomainError):
-            prime_flags(-1, 5, np.array([2]))
+            prime_flags(-1, 5)
 
     def test_spf_table(self):
         spf = spf_sieve(10**4)

@@ -147,3 +147,32 @@ def test_read_jsonl_rejects_garbage():
 def test_unknown_format_rejected():
     with pytest.raises(DomainError):
         render([output.scalar_record("v", 1, 0)], "xml")
+
+
+def test_every_kind_keeps_its_key_order():
+    rep = expected_count(1, 3, 1.0)
+    records = [
+        output.hit_record(HITS[0]),
+        output.check_record(19, 10, 91, None),
+        output.scalar_record("reverse", 120, 21, base=10),
+        output.anchor_record(check_anchor(4)),
+        output.verification_record(verify_characterization(100)),
+        output.heuristic_term_record(1, 1.0, 0.5, 0.25, 0.5, 0.25),
+        output.heuristic_summary_record(rep),
+    ]
+    layouts = [
+        ("n", "reversal", "shared_v", "base"),
+        ("n", "base", "is_v_palindrome", "reversal", "shared_v"),
+        ("operation", "operand", "base", "value"),
+        ("m", "p", "q", "p_status", "p_certainty", "q_status", "q_certainty",
+         "meets_floor", "is_candidate"),
+        ("bound", "brute_force_hits", "characterization_hits", "consistent"),
+        ("n", "C", "probability", "envelope", "partial_sum", "envelope_partial_sum"),
+        ("C", "n_start", "N", "partial_sum", "envelope_sum", "tail_bound"),
+    ]
+    for rec, fields in zip(records, layouts, strict=True):
+        assert list(rec) == ["schema_version", "kind", *fields]
+        header = render([rec], "csv").splitlines()[0]
+        assert header == ",".join(fields)
+    assert records[2]["value"] == 21 and records[2]["base"] == 10
+    assert records[1]["shared_v"] is None and records[1]["is_v_palindrome"] is False

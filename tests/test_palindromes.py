@@ -1,5 +1,7 @@
+import os
 import random
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -206,7 +208,8 @@ class TestEnumerate:
         assert list(enumerate_v_palindromes(1, 65536, base=100_000)) == []
         assert palindromes_mod._shard_hits(1, 9, 10, False) == []
 
-    def test_shard_map_keeps_order_and_bounds_the_window(self):
+    def test_shard_map_keeps_order_and_bounds_the_window(self, monkeypatch):
+        monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
         shards = CountedShards((-i,) for i in range(40))
         results = palindromes_mod._shard_map(abs, shards, 2)
         assert next(results) == 0
@@ -217,13 +220,42 @@ class TestEnumerate:
         assert list(results) == list(range(1, 40))
         assert list(palindromes_mod._shard_map(abs, [(-3,), (-1,)], 1)) == [3, 1]
 
-    def test_shard_map_runs_past_a_slow_shard(self):
+    def test_shard_map_runs_past_a_slow_shard(self, monkeypatch):
+        monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
         shards = CountedShards([(0.5,)] + [(0,)] * 39)
         results = palindromes_mod._shard_map(time.sleep, shards, 2)
         assert next(results) is None
         # the second worker went on while the first shard slept
         assert shards.taken > 2 * 2 + 1
         assert len(list(results)) == 39
+
+    def test_shard_map_caps_workers_at_the_cpus(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs each shard at submit."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(palindromes_mod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        shards = [(-i,) for i in range(40)]
+        assert list(palindromes_mod._shard_map(abs, shards, 10**6)) == list(range(40))
+        assert sizes == [3]
+        # no affinity call: the CPU count caps instead, and one CPU runs in process
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert list(palindromes_mod._shard_map(abs, shards, 10**6)) == list(range(40))
+        assert sizes == [3]
 
     def test_reversal_image_beyond_int64_rejected(self):
         with pytest.raises(DomainError):
@@ -318,7 +350,7 @@ class TestCompositeBound:
         assert palindromes_mod._prime_hit_spans(5 * 10**5, 10**6 - 1, 10) == []
 
     def test_shard_past_the_bound_skips_the_prime_sieve(self, monkeypatch):
-        def no_sieve(lo, hi, primes):
+        def no_sieve(lo, hi):
             raise AssertionError(f"sieved [{lo}, {hi}]")
         monkeypatch.setattr(palindromes_mod, "prime_flags", no_sieve)
         assert palindromes_mod._prime_shard_hits(5 * 10**5, 6 * 10**5 - 1, 10) == []
