@@ -4,7 +4,10 @@ A prime v-palindrome must be the larger member of an anchor pair
 (5*10**m - 3, 5*10**m - 1) with m at or above a small floor, so the search
 for prime v-palindromes reduces to primality checks on anchor pairs.  This
 module provides those checks, the algebraic reversal identity behind them,
-a resumable checkpointed search, and a brute-force cross-verifier.
+a resumable checkpointed search, and a brute-force cross-verifier.  The
+brute force scans [2, bound] through the range driver of vpal.palindromes,
+which cuts the shards one at a time and sieves only the parts of each that
+can hold a prime hit; how the range is cut is not known here.
 """
 
 import json
@@ -25,7 +28,7 @@ from .arith import (  # noqa: F401
 )
 from .digits import _check_base, reverse
 from .errors import CheckpointCorrupt, DomainError
-from .palindromes import _check_int64_reach, _prime_shard_hits, _shard_map, _shards
+from .palindromes import _check_int64_reach, _prime_shard_hits, _scan, _shard_map
 
 # Smallest m worth testing: exhaustive search shows no prime v-palindrome
 # has fewer than CANDIDATE_FLOOR + 1 digits.  verify_characterization can
@@ -65,23 +68,22 @@ def anchor(m: int) -> tuple[int, int]:
     return t - 1, t - 3
 
 
-def check_anchor(m: int, rounds: int = DEFAULT_ROUNDS,
-                 floor: int = CANDIDATE_FLOOR) -> AnchorResult:
+def check_anchor(m: int, rounds: int = DEFAULT_ROUNDS) -> AnchorResult:
     """Test both members of the anchor pair at m.
 
     is_candidate treats a probable_prime verdict as non-composite but the
     verdicts themselves always say which kind of evidence backs them.
     """
     p, q = anchor(m)
-    return _anchor_result(m, is_prime(p, rounds), is_prime(q, rounds), floor)
+    return _anchor_result(m, is_prime(p, rounds), is_prime(q, rounds))
 
 
-def _anchor_result(m: int, p_verdict: PrimalityVerdict, q_verdict: PrimalityVerdict,
-                   floor: int = CANDIDATE_FLOOR) -> AnchorResult:
+def _anchor_result(m: int, p_verdict: PrimalityVerdict,
+                   q_verdict: PrimalityVerdict) -> AnchorResult:
     """The AnchorResult at m for the given verdicts: a candidate when m meets
-    the floor and neither member is composite."""
+    CANDIDATE_FLOOR and neither member is composite."""
     p, q = anchor(m)
-    meets = m >= floor
+    meets = m >= CANDIDATE_FLOOR
     cand = meets and p_verdict.non_composite and q_verdict.non_composite
     return AnchorResult(m, p, q, p_verdict, q_verdict, meets, cand)
 
@@ -213,7 +215,7 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
     done: dict[int, AnchorResult] = {}
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         done = _read_checkpoint(checkpoint_path, rounds)
-    todo = [m for m in range(m_lo, m_hi + 1) if m not in done]
+    todo = ((m, rounds) for m in range(m_lo, m_hi + 1) if m not in done)
 
     fresh: dict[int, AnchorResult] = {}
     fh = None
@@ -232,7 +234,7 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
                     "rounds": rounds,
                 })
         # results arrive in ascending m, so records are appended in order
-        for result in _shard_map(check_anchor, [(m, rounds) for m in todo], workers):
+        for result in _shard_map(check_anchor, todo, workers):
             fresh[result.m] = result
             if fh is not None:
                 _append_record(fh, result, rounds)
@@ -246,8 +248,7 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
 
 def _brute_force_hits(bound: int, base: int, workers: int) -> list[int]:
     """Every prime v-palindrome p <= bound, ascending."""
-    shards = [(lo, hi, base) for lo, hi in _shards(2, bound, base)]
-    return [p for hits in _shard_map(_prime_shard_hits, shards, workers) for p in hits]
+    return list(_scan(_prime_shard_hits, 2, bound, base, workers))
 
 
 def verify_characterization(bound: int, base: int = 10, workers: int = 1,

@@ -140,6 +140,10 @@ def is_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     return PrimalityVerdict("probable_prime", certainty=rounds)
 
 
+class _OutOfBudget(Exception):
+    pass
+
+
 class _Budget:
     """Mutable operation counter; limit None means unlimited."""
 
@@ -150,15 +154,12 @@ class _Budget:
             raise DomainError(f"budget must be nonnegative, got {limit}")
         self.left = limit
 
-    def spend(self) -> bool:
-        if self.left is None:
-            return True
-        self.left -= 1
-        return self.left >= 0
-
-
-class _OutOfBudget(Exception):
-    pass
+    def spend(self) -> None:
+        """Charge one operation; _OutOfBudget once the limit is used up."""
+        if self.left is not None:
+            self.left -= 1
+            if self.left < 0:
+                raise _OutOfBudget
 
 
 def _brent_rho(m: int, counter: _Budget) -> int:
@@ -173,15 +174,13 @@ def _brent_rho(m: int, counter: _Budget) -> int:
         while g == 1:
             x0 = y
             for _ in range(r):
-                if not counter.spend():
-                    raise _OutOfBudget
+                counter.spend()
                 y = (y * y + c) % m
             k = 0
             while k < r and g == 1:
                 ys = y
                 for _ in range(min(128, r - k)):
-                    if not counter.spend():
-                        raise _OutOfBudget
+                    counter.spend()
                     y = (y * y + c) % m
                     q = q * abs(x0 - y) % m
                 g = math.gcd(q, m)
@@ -190,8 +189,7 @@ def _brent_rho(m: int, counter: _Budget) -> int:
         if g == m:
             g = 1
             while g == 1:
-                if not counter.spend():
-                    raise _OutOfBudget
+                counter.spend()
                 ys = (ys * ys + c) % m
                 g = math.gcd(abs(x0 - ys), m)
         if g != m:
@@ -216,29 +214,28 @@ def factorize(n: int, budget: int | None = None) -> list[tuple[int, int]]:
         return []
     counter = _Budget(budget)
     found: dict[int, int] = {}
-    x = n
-    fully_tried = False
-    for p in _SMALL_PRIMES:
-        if p * p > x:
-            fully_tried = True
-            break
-        if not counter.spend():
-            raise BudgetExceeded(sorted(found.items()), x)
-        if x % p == 0:
-            e = 0
-            while x % p == 0:
-                x //= p
-                e += 1
-            found[p] = e
-    if x == 1:
-        return sorted(found.items())
-    if fully_tried:
-        # trial division covered all primes up to sqrt(x), so x is prime
-        found[x] = found.get(x, 0) + 1
-        return sorted(found.items())
-    pending = [x]
-    m = x
+    m = n  # the cofactor being worked on; the unsplit rest is m * prod(pending)
+    pending: list[int] = []
     try:
+        fully_tried = False
+        for p in _SMALL_PRIMES:
+            if p * p > m:
+                fully_tried = True
+                break
+            counter.spend()
+            if m % p == 0:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                found[p] = e
+        if m == 1:
+            return sorted(found.items())
+        if fully_tried:
+            # trial division covered all primes up to sqrt(m), so m is prime
+            found[m] = found.get(m, 0) + 1
+            return sorted(found.items())
+        pending.append(m)
         while pending:
             m = pending.pop()
             if is_prime(m).non_composite:
@@ -248,10 +245,7 @@ def factorize(n: int, budget: int | None = None) -> list[tuple[int, int]]:
             pending.append(d)
             pending.append(m // d)
     except _OutOfBudget:
-        cofactor = m
-        for rest in pending:
-            cofactor *= rest
-        raise BudgetExceeded(sorted(found.items()), cofactor) from None
+        raise BudgetExceeded(sorted(found.items()), m * math.prod(pending)) from None
     return sorted(found.items())
 
 

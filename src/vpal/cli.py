@@ -8,6 +8,7 @@ VPAL_BUDGET) > defaults.
 """
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -153,24 +154,25 @@ def _cmd_verify(args) -> int:
 def _cmd_heuristic(args) -> int:
     C = DEFAULT_C if args.C is None else args.C
     rep = expected_count(args.n_start, args.n_end, C)
-    records = [
+    records = (
         output.heuristic_term_record(n, C, term, envelope_term(n, C), partial, envelope)
         for n, term, partial, envelope in zip(
             range(rep.n_start, rep.N + 1), rep.terms, rep.partial_sums, rep.envelope_sums
         )
-    ]
-    lines = [
-        f"n={rec['n']} probability={rec['probability']!r} envelope={rec['envelope']!r}"
-        for rec in records
-    ]
-    lines += [
-        f"partial_sum={rep.partial_sum!r}",
-        f"envelope_sum={rep.envelope_sum!r}",
-        f"tail_bound={rep.tail_bound!r}",
-    ]
+    )
+    # both views draw on the one stream of records; _emit consumes only one
+    lines = itertools.chain(
+        (f"n={rec['n']} probability={rec['probability']!r} envelope={rec['envelope']!r}"
+         for rec in records),
+        [
+            f"partial_sum={rep.partial_sum!r}",
+            f"envelope_sum={rep.envelope_sum!r}",
+            f"tail_bound={rep.tail_bound!r}",
+        ],
+    )
     if args.format == "jsonl":
         # csv stays homogeneous: the totals ride along in the term rows
-        records.append(output.heuristic_summary_record(rep))
+        records = itertools.chain(records, [output.heuristic_summary_record(rep)])
     _emit(records, args.format, lines)
     return 0
 

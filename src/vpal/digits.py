@@ -115,18 +115,9 @@ def from_digits(digits, base: int = 10) -> int:
 
 def length(n: int, base: int = 10) -> int:
     """Number of base-b digits of n, with length(0) = 0 by convention."""
-    _check_base(base)
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 0
-    if base == 10:
+    if base == 10 and n > 0:
         return len(decimal_str(n))
-    count = 0
-    while n:
-        n //= base
-        count += 1
-    return count
+    return len(to_digits(n, base))
 
 
 def digit(n: int, i: int, base: int = 10) -> int:
@@ -149,8 +140,4 @@ def reverse(n: int, base: int = 10) -> int:
             return int(str(n)[::-1])
         except ValueError:
             return from_decimal(decimal_str(n)[::-1])
-    acc = 0
-    while n:
-        n, d = divmod(n, base)
-        acc = acc * base + d
-    return acc
+    return from_digits(to_digits(n, base).digits[::-1], base)

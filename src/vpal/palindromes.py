@@ -175,9 +175,6 @@ def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
 def _shard_hits(lo: int, hi: int, base: int, canonical: bool) -> list[tuple[int, int, int]]:
     """Hits in [lo, hi] as (n, reversal, shared_v) tuples, ascending; v of
     every n comes from one segment sieve."""
-    lo = max(lo, base)  # every n < base is a one-digit reversal fixed point
-    if hi < lo:
-        return []
     return _block_hits(lo, v_segment(lo, hi), None, base, canonical)
 
 
@@ -211,7 +208,7 @@ def _prime_shard_hits(lo: int, hi: int, base: int) -> list[int]:
     _prime_hit_spans; the rest of the shard is never sieved.
     """
     out = []
-    for x, y in _prime_hit_spans(max(lo, base), hi, base):
+    for x, y in _prime_hit_spans(lo, hi, base):
         flags = prime_flags(x, y)
         n = np.arange(x, y + 1, dtype=np.int64)
         out += [p for p, _r, _v in _block_hits(x, n, flags, base, False)]
@@ -228,14 +225,6 @@ def _shard_width(base: int) -> int:
     return power * (SHARD_SIZE // power)
 
 
-def _shards(lo: int, hi: int, base: int) -> list[tuple[int, int]]:
-    """[lo, hi] cut at the multiples of the shard width, as (start, end)
-    pairs, ascending.  The cuts do not depend on the worker count."""
-    width = _shard_width(base)
-    return [(max(a, lo), min(a + width - 1, hi))
-            for a in range(lo // width * width, hi + 1, width)]
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -245,22 +234,25 @@ def _usable_cpus() -> int:
 
 
 def _shard_map(fn, shards, workers: int):
-    """fn(*shard) for every shard, yielded in shard order.
+    """fn(*shard) for every shard of an iterable, yielded in shard order.
 
-    The workers are capped at the shards and at the CPUs this process may
-    run on (the pool forks all of them at its first submit).  With more than
-    one worker left, the shards run in a process pool.  New shards are
-    submitted only while the generator runs, and at most two per worker are
-    submitted and unfinished at a time; a slow shard does not stall the
-    rest, whose results wait for it in order.  Closing the generator cancels
-    the shards not yet started.
+    The workers are capped at the CPUs this process may run on (the pool
+    forks all of them at its first submit), then at the shards: at most
+    that many are read to size the pool, so a single shard runs in process.
+    With more than one worker left, the shards run in a process pool.  New
+    shards are read and submitted only while the generator runs, and at
+    most two per worker are submitted and unfinished at a time; a slow
+    shard does not stall the rest, whose results wait for it in order.
+    Closing the generator cancels the shards not yet started.
     """
-    workers = min(workers, len(shards), _usable_cpus())
-    if workers <= 1:
-        for shard in shards:
+    shards = iter(shards)
+    head = list(itertools.islice(shards, max(1, min(workers, _usable_cpus()))))
+    queue = itertools.chain(head, shards)
+    if len(head) <= 1:
+        for shard in queue:
             yield fn(*shard)
         return
-    queue = iter(shards)
+    workers = len(head)
     pending = deque()  # submitted, not yet yielded, in shard order
     running = set()  # submitted, not yet finished
     pool = ProcessPoolExecutor(max_workers=workers)
@@ -281,6 +273,25 @@ def _shard_map(fn, shards, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
+def _scan(fn, lo: int, hi: int, base: int, workers: int, *args):
+    """The items of fn(a, b, base, *args) over the shards [a, b] of
+    [max(lo, base), hi], in shard order; every n below the base is a
+    one-digit fixed point of reversal.
+
+    The shards are cut at the multiples of the shard width, so the cuts do
+    not depend on the worker count, and they are cut one at a time as
+    _shard_map reads them: memory does not grow with the range.
+    """
+    start = max(lo, base)
+    if hi < start:
+        return
+    width = _shard_width(base)
+    shards = ((max(a, start), min(a + width - 1, hi), base, *args)
+              for a in range(start // width * width, hi + 1, width))
+    for items in _shard_map(fn, shards, workers):
+        yield from items
+
+
 def enumerate_v_palindromes(lo: int, hi: int, base: int = 10, mode: str = "all",
                             workers: int = 1):
     """Yield every v-palindrome hit in [lo, hi] in ascending order of n.
@@ -296,15 +307,11 @@ def enumerate_v_palindromes(lo: int, hi: int, base: int = 10, mode: str = "all",
     _check_base(base)
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-    start = max(lo, 1)
-    if hi < start:
+    if hi < max(lo, 1):
         return
     _check_int64_reach(hi, base)
-    canonical = mode == "canonical"
-    shards = [(a, b, base, canonical) for a, b in _shards(start, hi, base)]
-    for hits in _shard_map(_shard_hits, shards, workers):
-        for n, r, shared in hits:
-            yield VPalindromeHit(n, r, shared, base)
+    for n, r, shared in _scan(_shard_hits, lo, hi, base, workers, mode == "canonical"):
+        yield VPalindromeHit(n, r, shared, base)
 
 
 def _check_int64_reach(hi: int, base: int) -> None:

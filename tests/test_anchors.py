@@ -6,7 +6,6 @@ import pytest
 
 from _oracles import trial_factorize, trial_is_prime
 from vpal import (
-    CANDIDATE_FLOOR,
     CheckpointCorrupt,
     DomainError,
     anchor,
@@ -70,7 +69,6 @@ class TestCheckAnchor:
     def test_floor_flag(self):
         assert not check_anchor(3).meets_floor
         assert check_anchor(4).meets_floor
-        assert check_anchor(4, floor=5).meets_floor is False
 
     def test_oracle_agreement_small_m(self):
         for m in range(1, 11):
@@ -152,9 +150,9 @@ class TestSearchAnchors:
         calls = []
         real = anchors_mod.check_anchor
 
-        def counting(m, rounds=64, floor=CANDIDATE_FLOOR):
+        def counting(m, rounds=64):
             calls.append(m)
-            return real(m, rounds, floor)
+            return real(m, rounds)
 
         monkeypatch.setattr(anchors_mod, "check_anchor", counting)
         results = search_anchors(1, 9, checkpoint_path=str(path))

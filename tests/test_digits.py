@@ -108,6 +108,34 @@ def test_reverse_matches_oracle_all_bases():
         assert reverse(n, base) == oracle_reverse(n, base)
 
 
+def _loop_length(n, base):
+    """The digit count by its own divmod loop, as length once computed it."""
+    count = 0
+    while n:
+        n //= base
+        count += 1
+    return count
+
+
+def _loop_reverse(n, base):
+    """The reversal by its own divmod loop, as reverse once computed it."""
+    acc = 0
+    while n:
+        n, d = divmod(n, base)
+        acc = acc * base + d
+    return acc
+
+
+@pytest.mark.parametrize("base", [2, 3, 7, 16, 100])
+def test_reverse_and_length_match_the_digit_loops(base):
+    # the range holds multiples of every power of the base below 3*10**4,
+    # so n with trailing zeros
+    for n in range(3 * 10**4 + 1):
+        assert length(n, base) == _loop_length(n, base)
+        if n:
+            assert reverse(n, base) == _loop_reverse(n, base)
+
+
 def test_round_trip_random():
     rng = random.Random(9)
     for _ in range(500):

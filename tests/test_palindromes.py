@@ -1,6 +1,8 @@
+import itertools
 import os
 import random
 import time
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -36,6 +38,28 @@ class CountedShards(list):
         for shard in super().__iter__():
             self.taken += 1
             yield shard
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replaces the process pool with one that runs each shard at submit;
+    yields the list of the pool sizes asked for."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(palindromes_mod, "ProcessPoolExecutor", InlinePool)
+    return sizes
 
 
 class TestPredicate:
@@ -190,9 +214,11 @@ class TestEnumerate:
         (10**6, 1, 2**17)])
     def test_shards_tile_into_aligned_blocks(self, base, power, width):
         assert palindromes_mod._shard_width(base) == width
-        lo, hi = 7, 5 * width + 11
-        shards = palindromes_mod._shards(lo, hi, base)
-        assert shards[0][0] == lo and shards[-1][1] == hi
+        lo, hi = 7, base + 5 * width + 11
+        shards = list(palindromes_mod._scan(lambda a, b, _base: [(a, b)], lo, hi, base, 1))
+        # the scan starts at the base: every n below it is a one-digit
+        # reversal fixed point
+        assert shards[0][0] == max(lo, base) and shards[-1][1] == hi
         for (_, end), (start, _) in zip(shards, shards[1:]):
             assert start == end + 1 and start % width == 0
         # every full shard is whole blocks of the largest power of the base
@@ -206,7 +232,20 @@ class TestEnumerate:
             raise AssertionError(f"sieved [{lo}, {hi}]")
         monkeypatch.setattr(palindromes_mod, "v_segment", no_sieve)
         assert list(enumerate_v_palindromes(1, 65536, base=100_000)) == []
-        assert palindromes_mod._shard_hits(1, 9, 10, False) == []
+        assert list(enumerate_v_palindromes(1, 9)) == []
+
+    def test_first_hit_of_a_wide_range_holds_one_shard(self):
+        # the shards are cut as they are read, so the memory before the
+        # first hit does not grow with the range
+        tracemalloc.start()
+        try:
+            hits = enumerate_v_palindromes(1, 10**10)
+            assert next(hits).n == 18
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        hits.close()
+        assert peak < 8 * 2**20
 
     def test_shard_map_keeps_order_and_bounds_the_window(self, monkeypatch):
         monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
@@ -229,24 +268,8 @@ class TestEnumerate:
         assert shards.taken > 2 * 2 + 1
         assert len(list(results)) == 39
 
-    def test_shard_map_caps_workers_at_the_cpus(self, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            """Records the pool size and runs each shard at submit."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def submit(self, fn, *args):
-                done = Future()
-                done.set_result(fn(*args))
-                return done
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(palindromes_mod, "ProcessPoolExecutor", InlinePool)
+    def test_shard_map_caps_workers_at_the_cpus(self, monkeypatch, inline_pool):
+        sizes = inline_pool
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         shards = [(-i,) for i in range(40)]
         assert list(palindromes_mod._shard_map(abs, shards, 10**6)) == list(range(40))
@@ -256,6 +279,14 @@ class TestEnumerate:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert list(palindromes_mod._shard_map(abs, shards, 10**6)) == list(range(40))
         assert sizes == [3]
+
+    def test_shard_map_reads_an_endless_stream(self, monkeypatch, inline_pool):
+        # the pool is sized from at most as many shards as there are CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        results = palindromes_mod._shard_map(abs, ((-i,) for i in itertools.count()), 10**6)
+        assert next(results) == 0
+        assert inline_pool == [3]
+        results.close()
 
     def test_reversal_image_beyond_int64_rejected(self):
         with pytest.raises(DomainError):
@@ -348,6 +379,11 @@ class TestCompositeBound:
         assert palindromes_mod._prime_hit_spans(10, 10**6 - 1, 10) == [
             (10, 49), (100, 499), (1000, 4999), (10**4, 49_999), (10**5, 499_999)]
         assert palindromes_mod._prime_hit_spans(5 * 10**5, 10**6 - 1, 10) == []
+
+    def test_scan_reaches_the_first_prime_hit_of_a_wide_range(self):
+        hits = palindromes_mod._scan(palindromes_mod._prime_shard_hits, 2, 16**12, 16, 1)
+        assert next(hits) == 109
+        hits.close()
 
     def test_shard_past_the_bound_skips_the_prime_sieve(self, monkeypatch):
         def no_sieve(lo, hi):
