@@ -2,7 +2,7 @@
 
 Data goes to stdout, diagnostics to stderr.  The default output format is a
 human-readable table; --format switches to jsonl/csv/bfile machine formats.
-Exit codes: 0 success, 1 domain error, 2 budget or checkpoint failure.
+Exit codes: 0 success, 1 domain error, 2 budget, checkpoint or usage failure.
 Configuration precedence is flags > environment (VPAL_THREADS, VPAL_ROUNDS,
 VPAL_BUDGET) > defaults.
 """
@@ -11,6 +11,7 @@ import argparse
 import itertools
 import os
 import sys
+from contextlib import nullcontext
 
 from . import output
 from .anchors import search_anchors, verify_characterization
@@ -177,17 +178,19 @@ def _cmd_heuristic(args) -> int:
     return 0
 
 
-def _cmd_export(args) -> int:
+def _export_input(path):
+    """The records of the jsonl file at path (stdin if None), read as the
+    writer asks for them; only a failure to read is a "cannot read"."""
+    name = "stdin" if path is None else path
     try:
-        if args.input is None:
-            records = list(output.read_jsonl(sys.stdin))
-        else:
-            with open(args.input, encoding="utf-8") as source:
-                records = list(output.read_jsonl(source))
+        with nullcontext(sys.stdin) if path is None else open(path, encoding="utf-8") as f:
+            yield from output.read_jsonl(f)
     except (OSError, UnicodeDecodeError) as exc:
-        name = "stdin" if args.input is None else args.input
         raise DomainError(f"cannot read {name}: {exc}") from exc
-    output.write_records(records, args.format, sys.stdout)
+
+
+def _cmd_export(args) -> int:
+    output.write_records(_export_input(args.input), args.format, sys.stdout)
     return 0
 
 
@@ -219,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--base", type=int, default=10)
     p.add_argument("--budget", type=int, default=None)
-    _add_format(p)
+    _add_format(p, _FORMATS[:3])  # none of its records has a bfile value
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("enumerate", help="v-palindromes in a range")
@@ -245,21 +248,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--threads", type=int, default=None)
-    _add_format(p)
+    _add_format(p, _FORMATS[:3])
     p.set_defaults(func=_cmd_anchors)
 
     p = sub.add_parser("verify", help="brute force vs. anchor characterization")
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--threads", type=int, default=None)
-    _add_format(p)
+    _add_format(p, _FORMATS[:3])
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("heuristic", help="expected-count partial sums")
     p.add_argument("--from", dest="n_start", type=int, required=True)
     p.add_argument("--to", dest="n_end", type=int, required=True)
     p.add_argument("--C", type=float, default=None)
-    _add_format(p)
+    _add_format(p, _FORMATS[:3])
     p.set_defaults(func=_cmd_heuristic)
 
     p = sub.add_parser("export", help="convert a jsonl record stream")

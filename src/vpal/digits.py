@@ -84,8 +84,8 @@ class DigitVector:
         return len(self.digits)
 
 
-def to_digits(n: int, base: int = 10) -> DigitVector:
-    """Canonical digit vector of n, least-significant first; 0 -> empty."""
+def _digits(n: int, base: int) -> list[int]:
+    """Digits of n, least-significant first; divmod makes each fit the base."""
     _check_base(base)
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
@@ -93,7 +93,12 @@ def to_digits(n: int, base: int = 10) -> DigitVector:
     while n:
         n, d = divmod(n, base)
         ds.append(d)
-    return DigitVector(base, tuple(ds))
+    return ds
+
+
+def to_digits(n: int, base: int = 10) -> DigitVector:
+    """Canonical digit vector of n, least-significant first; 0 -> empty."""
+    return DigitVector(base, tuple(_digits(n, base)))
 
 
 def from_digits(digits, base: int = 10) -> int:
@@ -117,7 +122,7 @@ def length(n: int, base: int = 10) -> int:
     """Number of base-b digits of n, with length(0) = 0 by convention."""
     if base == 10 and n > 0:
         return len(decimal_str(n))
-    return len(to_digits(n, base))
+    return len(_digits(n, base))
 
 
 def digit(n: int, i: int, base: int = 10) -> int:
@@ -136,8 +141,8 @@ def reverse(n: int, base: int = 10) -> int:
     if n < 1:
         raise DomainError(f"reversal is defined for n >= 1, got {n}")
     if base == 10:
-        try:
-            return int(str(n)[::-1])
-        except ValueError:
-            return from_decimal(decimal_str(n)[::-1])
-    return from_digits(to_digits(n, base).digits[::-1], base)
+        return from_decimal(decimal_str(n)[::-1])
+    acc = 0
+    for d in _digits(n, base):
+        acc = acc * base + d
+    return acc

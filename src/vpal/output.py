@@ -79,15 +79,6 @@ def heuristic_summary_record(rep: HeuristicReport) -> dict:
                    rep.partial_sum, rep.envelope_sum, rep.tail_bound)
 
 
-def _require_homogeneous(records: list[dict], fmt: str) -> str:
-    kinds = {rec.get("kind") for rec in records}
-    if len(kinds) > 1:
-        raise HeterogeneousRecords(
-            f"{fmt} output needs records of a single kind, got {sorted(map(str, kinds))}"
-        )
-    return next(iter(kinds))
-
-
 def _json_value(value) -> str:
     """json.dumps(value) for a record field, with ints of any size."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -105,11 +96,6 @@ def _json_line(rec: dict) -> str:
         ) + "}"
 
 
-def write_jsonl(records, stream) -> None:
-    for rec in records:
-        stream.write(_json_line(rec) + "\n")
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -118,45 +104,49 @@ def _cell(value) -> str:
     return _json_value(value)
 
 
-def write_csv(records, stream) -> None:
-    records = list(records)
-    if not records:
-        return
-    kind = _require_homogeneous(records, "csv")
-    fields = _FIELDS.get(kind)
-    if fields is None:
-        raise DomainError(f"no csv layout for records of kind {kind!r}")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(fields)
-    for rec in records:
-        writer.writerow([_cell(rec.get(f)) for f in fields])
-
-
-def write_bfile(records, stream) -> None:
-    """OEIS b-file lines: "index value", 1-based ascending, newline-terminated."""
-    records = list(records)
-    if not records:
-        return
-    kind = _require_homogeneous(records, "bfile")
+def _row_writer(fmt: str, kind, stream):
+    """The function that writes one record of ``kind`` as ``fmt``, given the
+    record and its 1-based index; for csv, the header is written now."""
+    if fmt == "jsonl":
+        return lambda index, rec: stream.write(_json_line(rec) + "\n")
+    if fmt == "csv":
+        fields = _FIELDS.get(kind)
+        if fields is None:
+            raise DomainError(f"no csv layout for records of kind {kind!r}")
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(fields)
+        return lambda index, rec: writer.writerow([_cell(rec.get(f)) for f in fields])
     field = _BFILE_FIELD.get(kind)
     if field is None:
         raise DomainError(f"records of kind {kind!r} have no bfile value")
-    for index, rec in enumerate(records, start=1):
+
+    def bfile_line(index, rec):
         value = rec.get(field)
         if isinstance(value, bool) or not isinstance(value, int):
             raise DomainError(f"bfile values must be integers, got {value!r}")
         stream.write(f"{index} {decimal_str(value)}\n")
+    return bfile_line
 
 
 def write_records(records, fmt: str, stream) -> None:
-    if fmt == "jsonl":
-        write_jsonl(records, stream)
-    elif fmt == "csv":
-        write_csv(records, stream)
-    elif fmt == "bfile":
-        write_bfile(records, stream)
-    else:
+    """Write each record to ``stream`` as it arrives; no record, no output.
+
+    csv and bfile (OEIS b-file "index value" lines, 1-based) take their
+    layout from the first record's kind, and a later record of another kind
+    raises HeterogeneousRecords after the rows before it are written.
+    """
+    if fmt not in ("jsonl", "csv", "bfile"):
         raise DomainError(f"unknown output format {fmt!r}")
+    for index, rec in enumerate(records, start=1):
+        if index == 1:
+            kind = rec.get("kind")
+            write = _row_writer(fmt, kind, stream)
+        elif fmt != "jsonl" and rec.get("kind") != kind:
+            kinds = sorted(map(str, {kind, rec.get("kind")}))
+            raise HeterogeneousRecords(
+                f"{fmt} output needs records of a single kind, got {kinds}"
+            )
+        write(index, rec)
 
 
 def read_jsonl(stream):

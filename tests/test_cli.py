@@ -8,6 +8,7 @@ import pytest
 
 from conftest import subprocess_env
 from vpal import check_anchor, reverse
+from vpal import anchors as anchors_mod
 from vpal import cli
 from vpal import palindromes as palindromes_mod
 from vpal.heuristic import C_MAX
@@ -281,6 +282,14 @@ def test_export_heterogeneous_exit(capsys, monkeypatch):
     assert "single kind" in err
 
 
+def test_export_bad_line_after_the_rows_before_it(capsys, monkeypatch):
+    jsonl = _hit_line(18, 81, 7) + _hit_line(198, 891, 18) + "not json\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(jsonl))
+    code, out, err = run_cli(capsys, "export", "--format", "bfile")
+    assert (code, out) == (1, "1 18\n2 198\n")
+    assert err.startswith("error: line 3: not a json record")
+
+
 def test_export_empty_stream(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(""))
     code, out, _ = run_cli(capsys, "export", "--format", "bfile")
@@ -368,22 +377,120 @@ def test_module_entry_point():
     assert proc.stdout == b"891\n"
 
 
+def _hit_line(n, reversal, shared_v):
+    return (
+        f'{{"schema_version": "1", "kind": "v_palindrome", "n": {n}, '
+        f'"reversal": {reversal}, "shared_v": {shared_v}, "base": 10}}\n'
+    )
+
+
+def _leave_after_two_lines(proc):
+    """Read two lines of proc's stdout, close it, and return the lines with
+    the exit code and stderr."""
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return lines, proc.wait(timeout=120), err
+
+
+FIRST_TWO_LINES = {
+    "table": [b"18\n", b"81\n"],
+    "jsonl": [_hit_line(18, 81, 7).encode(), _hit_line(81, 18, 7).encode()],
+    "csv": [b"n,reversal,shared_v,base\n", b"18,81,7,10\n"],
+    "bfile": [b"1 18\n", b"2 81\n"],
+}
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_closed_pipe_exits_quietly(threads):
+@pytest.mark.parametrize("fmt", ["table", "jsonl", "csv", "bfile"])
+def test_closed_pipe_exits_quietly(fmt, threads):
     # `vpal enumerate ... | head -2`: the reader leaves after two lines
     env = subprocess_env()
     env["PYTHONUNBUFFERED"] = "1"  # each hit reaches the pipe as it is found
     proc = subprocess.Popen(
         [sys.executable, "-m", "vpal", "enumerate", "--lo", "1",
-         "--hi", "3000000", "--threads", threads],
+         "--hi", "3000000", "--threads", threads, "--format", fmt],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
-    assert [proc.stdout.readline() for _ in range(2)] == [b"18\n", b"81\n"]
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == 1
-    assert b"Traceback" not in err
-    assert b"BrokenPipeError" not in err
+    assert _leave_after_two_lines(proc) == (FIRST_TWO_LINES[fmt], 1, b"")
+
+
+def test_export_closed_pipe_exits_quietly(tmp_path):
+    # a closed stdout is not an unreadable input: no "cannot read" line
+    src = tmp_path / "records.jsonl"
+    src.write_text("".join(_hit_line(n, n + 1, n + 2) for n in range(10**5)))
+    env = subprocess_env()
+    env["PYTHONUNBUFFERED"] = "1"
+    with open(src, "rb") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vpal", "export", "--format", "csv"],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        outcome = _leave_after_two_lines(proc)
+    assert outcome == ([b"n,reversal,shared_v,base\n", b"0,1,2,10\n"], 1, b"")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bfile"])
+def test_readme_export_pipeline_matches_direct_output(fmt):
+    # vpal enumerate ... --format jsonl | vpal export --format FMT
+    enumerate_argv = [sys.executable, "-m", "vpal", "enumerate", "--lo", "1",
+                      "--hi", "600", "--canonical", "--threads", "1"]
+    env = subprocess_env()
+    producer = subprocess.Popen(
+        enumerate_argv + ["--format", "jsonl"], stdout=subprocess.PIPE, env=env
+    )
+    exported = subprocess.run(
+        [sys.executable, "-m", "vpal", "export", "--format", fmt],
+        stdin=producer.stdout,
+        capture_output=True,
+        env=env,
+    )
+    producer.stdout.close()
+    assert producer.wait(timeout=120) == 0
+    direct = subprocess.run(
+        enumerate_argv + ["--format", fmt], capture_output=True, env=env
+    )
+    assert (exported.returncode, exported.stderr) == (0, b"")
+    assert exported.stdout == direct.stdout
+    assert direct.stdout.splitlines()[-1] == {"csv": b"576,675,13,10",
+                                              "bfile": b"3 576"}[fmt]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "198"],
+    ["anchors", "--from", "1", "--to", "2"],
+    ["verify", "--bound", "100"],
+    ["heuristic", "--from", "1", "--to", "2"],
+])
+def test_bfile_refused_where_no_record_has_a_bfile_value(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--format", "bfile"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: vpal") and "invalid choice: 'bfile'" in err
+
+
+def test_anchors_bfile_refused_before_the_checkpoint(tmp_path, capsys):
+    path = tmp_path / "f"
+    with pytest.raises(SystemExit) as info:
+        main(["anchors", "--from", "1", "--to", "150", "--checkpoint", str(path),
+              "--format", "bfile"])
+    assert info.value.code == 2
+    assert not path.exists()
+
+
+def test_verify_bfile_refused_before_the_brute_force(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(anchors_mod, "_brute_force_hits",
+                        lambda *a, **k: calls.append(a) or [])
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--bound", "10000000", "--format", "bfile"])
+    assert info.value.code == 2
+    assert calls == []

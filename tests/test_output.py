@@ -1,5 +1,7 @@
 import io
 import json
+import sys
+import tracemalloc
 
 import pytest
 
@@ -176,3 +178,68 @@ def test_every_kind_keeps_its_key_order():
         assert header == ",".join(fields)
     assert records[2]["value"] == 21 and records[2]["base"] == 10
     assert records[1]["shared_v"] is None and records[1]["is_v_palindrome"] is False
+
+
+class _ClosingStream(io.StringIO):
+    """A stream whose reader leaves after ``writes`` writes."""
+
+    def __init__(self, writes):
+        super().__init__()
+        self.writes = writes
+
+    def write(self, text):
+        if self.writes == 0:
+            raise BrokenPipeError
+        self.writes -= 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "bfile"])
+def test_writer_reads_records_only_as_it_writes_them(fmt):
+    read = 0
+
+    def records():
+        nonlocal read
+        for k in range(1, 1000):
+            read += 1
+            yield output.scalar_record("family_nines", k, 2 * 10**k - 2)
+
+    with pytest.raises(BrokenPipeError):
+        output.write_records(records(), fmt, _ClosingStream(2))
+    assert read <= 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bfile"])
+def test_mixed_stream_writes_the_first_kind_then_fails(fmt):
+    hits = [output.hit_record(h) for h in HITS[:2]]
+    recs = hits + [output.scalar_record("v", 198, 18), output.hit_record(HITS[2])]
+    buf = io.StringIO()
+    with pytest.raises(HeterogeneousRecords) as info:
+        output.write_records(iter(recs), fmt, buf)
+    assert buf.getvalue() == render(hits, fmt)
+    assert str(info.value) == (
+        f"{fmt} output needs records of a single kind, got ['scalar', 'v_palindrome']"
+    )
+
+
+class _Sink:
+    def write(self, text):
+        return len(text)
+
+
+def test_csv_holds_one_record_at_a_time():
+    count = 10**5
+
+    def hits():
+        for n in range(count):
+            yield output.hit_record(VPalindromeHit(n, n + 1, n + 2, 10))
+
+    # a list of the records holds at least their dicts
+    as_list = count * sys.getsizeof(next(hits()))
+    tracemalloc.start()
+    try:
+        output.write_records(hits(), "csv", _Sink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < as_list / 20
