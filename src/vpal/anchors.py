@@ -8,6 +8,15 @@ a resumable checkpointed search, and a brute-force cross-verifier.  The
 brute force scans [2, bound] through the range driver of vpal.palindromes,
 which cuts the shards one at a time and sieves only the parts of each that
 can hold a prime hit; how the range is cut is not known here.
+
+Before any Miller-Rabin, the search runs an index sieve that strikes the
+members with a small prime factor, from the index on where a sieve step
+costs less than the tests it saves: for a prime ell, 5*10**m mod ell repeats
+in m with period ord_ell(10), so one residue per sieving prime, stepped by
+r -> 10*r mod ell, shows which members ell divides.  A struck member gets
+the verdict "composite" with certainty 0, the verdict is_prime gives it, so
+records and checkpoints do not depend on the sieve; only the survivors
+reach is_prime.
 """
 
 import json
@@ -15,18 +24,21 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 # v, spf_sieve and v_with_table are no longer called here, but
 # perfbench/tracing.py patches them under these names.
 from .arith import (  # noqa: F401
     DEFAULT_ROUNDS,
     PrimalityVerdict,
     _check_rounds,
+    _primes_upto,
     is_prime,
     spf_sieve,
     v,
     v_with_table,
 )
-from .digits import _check_base, reverse
+from .digits import _check_base, length, reverse
 from .errors import CheckpointCorrupt, DomainError
 from .palindromes import _check_int64_reach, _prime_shard_hits, _scan, _shard_map
 
@@ -72,10 +84,19 @@ def check_anchor(m: int, rounds: int = DEFAULT_ROUNDS) -> AnchorResult:
     """Test both members of the anchor pair at m.
 
     is_candidate treats a probable_prime verdict as non-composite but the
-    verdicts themselves always say which kind of evidence backs them.
+    verdicts themselves always say which kind of evidence backs them.  This
+    is the search's pair check with no member struck by the index sieve;
+    the search gives a struck member the same "composite" verdict.
     """
+    return _check_pair(m, rounds, False, False)
+
+
+def _check_pair(m: int, rounds: int, p_struck: bool,
+                q_struck: bool) -> AnchorResult:
+    """check_anchor, with a struck member judged composite untested."""
     p, q = anchor(m)
-    return _anchor_result(m, is_prime(p, rounds), is_prime(q, rounds))
+    return _anchor_result(m, _STRUCK if p_struck else is_prime(p, rounds),
+                          _STRUCK if q_struck else is_prime(q, rounds))
 
 
 def _anchor_result(m: int, p_verdict: PrimalityVerdict,
@@ -92,6 +113,57 @@ def converse_identity(m: int) -> bool:
     """reverse(5*10**m - 1) == 2*(5*10**m - 3); holds for every m >= 1."""
     p, q = anchor(m)
     return reverse(p, 10) == 2 * q
+
+
+# --- index sieve --------------------------------------------------------
+
+# Members with a prime factor 7 <= ell <= _SIEVE_LIMIT are struck.  No anchor
+# member is divisible by 2, 3 or 5 (p = 1 and q = 2 mod 3, p = 4 and q = 2
+# mod 5).  On m in [200, 300] a limit of 10**5 leaves the same 49 members
+# to test; 10**6 leaves 42, but its sieve takes 0.04 s against 0.004 s
+# (tables built), more than the seven tests it saves.
+_SIEVE_LIMIT = 1 << 16
+# Below this index a sieve step (31 us over the 6,539 primes, 2-vCPU
+# machine) costs more than the Miller-Rabin it saves, since members of up to
+# ~130 bits fail their first round in 1-30 us; over m in [5, 150] the
+# cheapest start measured was m = 42.  A member has m + 1 digits, so every
+# member from here on exceeds every sieving prime, and a prime that divides
+# it is a proper factor (47, 499, 4999 and 49999 are sieving primes).
+_SIEVE_FROM = 40
+_STRUCK = PrimalityVerdict("composite")
+
+
+def _pow_mod(base: int, e: int, mods: np.ndarray) -> np.ndarray:
+    """base**e mod each of mods (all below 2**16), by square-and-multiply;
+    every product stays below 2**32.  Dividing 10**e by each prime as a
+    Python int would cost only 1-14 ms for e in [200, 3000], but its 6,539
+    int objects raise the peak RSS of an anchors run by 0.45 MB."""
+    acc = np.ones_like(mods)
+    b = base % mods
+    while e:
+        if e & 1:
+            acc = acc * b % mods
+        b = b * b % mods
+        e >>= 1
+    return acc
+
+
+def _index_sieve(m_lo: int, m_hi: int):
+    """(m, p_struck, q_struck) for m in [m_lo, m_hi], ascending: from
+    _SIEVE_FROM on, a member is struck when a sieving prime divides it,
+    which happens where the residue r = 5*10**m mod ell is 1 (for
+    p = 5*10**m - 1) or 3 (for q = 5*10**m - 3)."""
+    for m in range(m_lo, min(m_hi, _SIEVE_FROM - 1) + 1):
+        yield m, False, False
+    start = max(m_lo, _SIEVE_FROM)
+    if start > m_hi:
+        return
+    ells = _primes_upto(_SIEVE_LIMIT)
+    ells = ells[ells >= 7]
+    r = 5 * _pow_mod(10, start, ells) % ells
+    for m in range(start, m_hi + 1):
+        yield m, bool((r == 1).any()), bool((r == 3).any())
+        r = r * 10 % ells
 
 
 # --- checkpointed search ------------------------------------------------
@@ -215,7 +287,8 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
     done: dict[int, AnchorResult] = {}
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         done = _read_checkpoint(checkpoint_path, rounds)
-    todo = ((m, rounds) for m in range(m_lo, m_hi + 1) if m not in done)
+    todo = ((m, rounds, p_struck, q_struck)
+            for m, p_struck, q_struck in _index_sieve(m_lo, m_hi) if m not in done)
 
     fresh: dict[int, AnchorResult] = {}
     fh = None
@@ -234,7 +307,7 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
                     "rounds": rounds,
                 })
         # results arrive in ascending m, so records are appended in order
-        for result in _shard_map(check_anchor, todo, workers):
+        for result in _shard_map(_check_pair, todo, workers):
             fresh[result.m] = result
             if fh is not None:
                 _append_record(fh, result, rounds)
@@ -258,9 +331,10 @@ def verify_characterization(bound: int, base: int = 10, workers: int = 1,
     The brute-force side tests every prime p <= bound with the raw
     predicate, through the same reversal-image sieves as enumeration, so
     base**length(bound) must fit in int64 (bound < 10**18 in base 10; a
-    larger bound raises DomainError).  The characterization side collects
-    candidate anchors with m >= CANDIDATE_FLOOR plus any below-floor anchor
-    the brute force finds (none are known; the floor is re-derived, not
+    larger bound raises DomainError).  The characterization side runs the
+    anchor search over CANDIDATE_FLOOR <= m with larger member p <= bound
+    and collects its candidates, plus any below-floor p the brute force
+    finds (none are known; the floor is re-derived, not
     assumed).  The anchor digit form is specific to base 10, so for other
     bases the characterization side is empty and the report simply exposes
     whatever the brute force found.
@@ -272,17 +346,11 @@ def verify_characterization(bound: int, base: int = 10, workers: int = 1,
     _check_rounds(rounds)
     brute = _brute_force_hits(bound, base, workers)
     brute_set = set(brute)
-    chars: list[int] = []
-    if base == 10:
-        m = 1
-        while True:
-            p, _q = anchor(m)
-            if p > bound:
-                break
-            if m >= CANDIDATE_FLOOR:
-                if check_anchor(m, rounds).is_candidate:
-                    chars.append(p)
-            elif p in brute_set:
-                chars.append(p)
-            m += 1
+    # the last index whose larger member p = 5*10**m - 1 is <= bound
+    m_max = length((bound + 1) // 5) - 1 if base == 10 else 0
+    below = range(1, min(m_max, CANDIDATE_FLOOR - 1) + 1)
+    chars = [p for p, _q in map(anchor, below) if p in brute_set]
+    if m_max >= CANDIDATE_FLOOR:
+        chars += [r.p for r in search_anchors(CANDIDATE_FLOOR, m_max, rounds)
+                  if r.is_candidate]
     return VerificationReport(bound, brute, chars, brute_set == set(chars))

@@ -84,11 +84,15 @@ class DigitVector:
         return len(self.digits)
 
 
-def _digits(n: int, base: int) -> list[int]:
-    """Digits of n, least-significant first; divmod makes each fit the base."""
+def _check_digit_input(n: int, base: int) -> None:
     _check_base(base)
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
+
+
+def _digits(n: int, base: int) -> list[int]:
+    """Digits of n, least-significant first; divmod makes each fit the base."""
+    _check_digit_input(n, base)
     ds = []
     while n:
         n, d = divmod(n, base)
@@ -122,7 +126,12 @@ def length(n: int, base: int = 10) -> int:
     """Number of base-b digits of n, with length(0) = 0 by convention."""
     if base == 10 and n > 0:
         return len(decimal_str(n))
-    return len(_digits(n, base))
+    _check_digit_input(n, base)
+    ell = 0
+    while n:
+        n //= base
+        ell += 1
+    return ell
 
 
 def digit(n: int, i: int, base: int = 10) -> int:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from _oracles import trial_factorize, trial_is_prime
+from _oracles import oracle_sieve, trial_factorize, trial_is_prime
 from vpal import (
     CheckpointCorrupt,
     DomainError,
@@ -20,6 +20,7 @@ from vpal import (
 )
 from vpal import anchors as anchors_mod
 from vpal import palindromes as palindromes_mod
+from vpal.arith import is_prime
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,13 +149,13 @@ class TestSearchAnchors:
         path = tmp_path / "search.ckpt"
         search_anchors(1, 7, checkpoint_path=str(path))
         calls = []
-        real = anchors_mod.check_anchor
+        real = anchors_mod._check_pair
 
-        def counting(m, rounds=64):
+        def counting(m, rounds, p_struck, q_struck):
             calls.append(m)
-            return real(m, rounds)
+            return real(m, rounds, p_struck, q_struck)
 
-        monkeypatch.setattr(anchors_mod, "check_anchor", counting)
+        monkeypatch.setattr(anchors_mod, "_check_pair", counting)
         results = search_anchors(1, 9, checkpoint_path=str(path))
         assert calls == [8, 9]
         assert [r.m for r in results] == list(range(1, 10))
@@ -200,6 +201,77 @@ class TestSearchAnchors:
         monkeypatch.setattr(anchors_mod.os, "fsync", no_space)
         with pytest.raises(CheckpointCorrupt, match="cannot write checkpoint"):
             search_anchors(1, 2, checkpoint_path=str(path))
+
+
+@functools.lru_cache(maxsize=None)
+def _member_verdicts(m_hi):
+    """(m, is_prime(p), is_prime(q)) for m in [1, m_hi], with no sieve."""
+    verdicts = []
+    for m in range(1, m_hi + 1):
+        p, q = anchor(m)
+        verdicts.append((m, is_prime(p), is_prime(q)))
+    return tuple(verdicts)
+
+
+def _verdicts(results):
+    return tuple((r.m, r.p_verdict, r.q_verdict) for r in results)
+
+
+class TestIndexSieve:
+    def test_struck_exactly_where_a_small_prime_divides(self):
+        flags = oracle_sieve(anchors_mod._SIEVE_LIMIT)
+        ells = [ell for ell, prime in enumerate(flags) if prime]
+        for m, p_struck, q_struck in anchors_mod._index_sieve(1, 400):
+            p, q = anchor(m)
+            # below the guard a member may be a small prime itself
+            guard = m >= anchors_mod._SIEVE_FROM
+            assert p_struck == (guard and any(p % ell == 0 for ell in ells if ell < p))
+            assert q_struck == (guard and any(q % ell == 0 for ell in ells if ell < q))
+
+    def test_small_members_are_never_struck(self):
+        # 47, 499, 4999 and 49999 are sieving primes themselves, which a
+        # strike would call composite; every member below the start, those
+        # up to m = 4 among them, goes to is_prime
+        start = anchors_mod._SIEVE_FROM
+        assert start >= 5
+        assert anchor(start)[1] > anchors_mod._SIEVE_LIMIT
+        assert list(anchors_mod._index_sieve(1, start - 1)) == [
+            (m, False, False) for m in range(1, start)]
+
+    @pytest.mark.parametrize("m_lo", [2, 5, 39, 40, 41, 137, 399])
+    def test_any_start_index_gives_the_same_flags(self, m_lo):
+        full = list(anchors_mod._index_sieve(1, 400))
+        assert list(anchors_mod._index_sieve(m_lo, 400)) == full[m_lo - 1:]
+
+    def test_start_residue_by_square_and_multiply(self):
+        ells = anchors_mod._primes_upto(anchors_mod._SIEVE_LIMIT)
+        for e in (0, 1, 2, 17, 400, 2**40 + 3):
+            got = anchors_mod._pow_mod(10, e, ells).tolist()
+            assert got == [pow(10, e, ell) for ell in ells.tolist()]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_equals_is_prime_per_member(self, workers):
+        results = search_anchors(1, 400, workers=workers)
+        assert _verdicts(results) == _member_verdicts(400)
+
+    def test_resumed_search_equals_is_prime_per_member(self, tmp_path):
+        path = str(tmp_path / "search.ckpt")
+        search_anchors(1, 250, checkpoint_path=path)
+        results = search_anchors(1, 400, checkpoint_path=path, workers=2)
+        assert _verdicts(results) == _member_verdicts(400)
+        assert search_anchors(1, 400, checkpoint_path=path) == results
+
+    def test_only_survivors_reach_is_prime(self, monkeypatch):
+        calls = []
+        real = anchors_mod.is_prime
+
+        def counting(n, rounds=64):
+            calls.append(n)
+            return real(n, rounds)
+
+        monkeypatch.setattr(anchors_mod, "is_prime", counting)
+        search_anchors(200, 300)
+        assert len(calls) == 49  # 202 without the sieve
 
 
 def _tampered(tmp_path, **changes):
@@ -278,6 +350,33 @@ class TestVerifyCharacterization:
     def test_bound_below_two_rejected(self):
         with pytest.raises(DomainError):
             verify_characterization(1)
+
+    @pytest.mark.parametrize("bound,m_max", [
+        (2, 0), (48, 0), (49, 1), (498, 1), (499, 2), (49998, 3),
+        (49999, 4), (10**7, 6)])
+    def test_anchors_searched_up_to_the_bound(self, monkeypatch, bound, m_max):
+        calls = []
+        real = anchors_mod.search_anchors
+
+        def recording(m_lo, m_hi, rounds):
+            calls.append((m_lo, m_hi))
+            return real(m_lo, m_hi, rounds)
+
+        monkeypatch.setattr(anchors_mod, "search_anchors", recording)
+        rep = verify_characterization(bound)
+        # below the floor no pair is tested; membership in the brute force decides
+        floor = anchors_mod.CANDIDATE_FLOOR
+        assert calls == ([] if m_max < floor else [(floor, m_max)])
+        assert rep.characterization_hits == [] and rep.consistent
+
+    @pytest.mark.parametrize("bound,found", [(498, [49]), (10**5, [49, 4999])])
+    def test_below_floor_anchors_taken_from_the_brute_force(self, monkeypatch,
+                                                           bound, found):
+        monkeypatch.setattr(anchors_mod, "_brute_force_hits",
+                            lambda *args: [13, 49, 4999])
+        rep = verify_characterization(bound)
+        assert rep.characterization_hits == found
+        assert not rep.consistent
 
     def test_rounds_below_one_rejected_before_the_brute_force(self, monkeypatch):
         def brute_force(*args):
