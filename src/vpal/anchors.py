@@ -84,17 +84,19 @@ def check_anchor(m: int, rounds: int = DEFAULT_ROUNDS) -> AnchorResult:
     """Test both members of the anchor pair at m.
 
     is_candidate treats a probable_prime verdict as non-composite but the
-    verdicts themselves always say which kind of evidence backs them.  This
-    is the search's pair check with no member struck by the index sieve;
-    the search gives a struck member the same "composite" verdict.
+    verdicts themselves always say which kind of evidence backs them.  A
+    member the index sieve strikes is composite without a Miller-Rabin test,
+    as in the search.
     """
-    return _check_pair(m, rounds, False, False)
+    ((m, p_struck, q_struck),) = _index_sieve(m, m)
+    return _check_pair(m, rounds, p_struck, q_struck)
 
 
 def _check_pair(m: int, rounds: int, p_struck: bool,
                 q_struck: bool) -> AnchorResult:
-    """check_anchor, with a struck member judged composite untested."""
+    """The pair check at m, with a struck member judged composite untested."""
     p, q = anchor(m)
+    _check_rounds(rounds)  # a struck member never reaches is_prime's check
     return _anchor_result(m, _STRUCK if p_struck else is_prime(p, rounds),
                           _STRUCK if q_struck else is_prime(q, rounds))
 
@@ -284,13 +286,13 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
     if m_hi < m_lo:
         raise DomainError(f"empty index range [{m_lo}, {m_hi}]")
     _check_rounds(rounds)
-    done: dict[int, AnchorResult] = {}
+    results: dict[int, AnchorResult] = {}
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        done = _read_checkpoint(checkpoint_path, rounds)
+        results = _read_checkpoint(checkpoint_path, rounds)
+    # each fresh result's m has already left todo, so adding it cannot skip one
     todo = ((m, rounds, p_struck, q_struck)
-            for m, p_struck, q_struck in _index_sieve(m_lo, m_hi) if m not in done)
+            for m, p_struck, q_struck in _index_sieve(m_lo, m_hi) if m not in results)
 
-    fresh: dict[int, AnchorResult] = {}
     fh = None
     try:
         if checkpoint_path is not None:
@@ -308,13 +310,13 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
                 })
         # results arrive in ascending m, so records are appended in order
         for result in _shard_map(_check_pair, todo, workers):
-            fresh[result.m] = result
+            results[result.m] = result
             if fh is not None:
                 _append_record(fh, result, rounds)
     finally:
         if fh is not None:
             fh.close()
-    return [done.get(m) or fresh[m] for m in range(m_lo, m_hi + 1)]
+    return [results[m] for m in range(m_lo, m_hi + 1)]
 
 
 # --- brute-force cross-verification ------------------------------------

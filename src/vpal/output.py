@@ -1,13 +1,14 @@
-"""Structured output records and the jsonl/csv/bfile serializers.
+"""Structured output records and the table/jsonl/csv/bfile serializers.
 
-Every record is a flat dict with "schema_version" and "kind" keys.  jsonl
-streams may mix kinds; csv and bfile require a homogeneous stream.  Integers
-are rendered as full decimal strings in every format and floats with repr
-precision, so records round-trip losslessly.
+Every record is a flat dict with "schema_version" and "kind" keys.  table
+and jsonl streams may mix kinds; csv and bfile require a homogeneous stream.
+Integers are rendered as full decimal strings in every format and floats
+with repr precision, so the machine formats round-trip losslessly.
 """
 
 import csv
 import json
+import math
 
 from .anchors import AnchorResult, VerificationReport
 from .digits import decimal_str, from_decimal
@@ -16,6 +17,8 @@ from .heuristic import HeuristicReport
 from .palindromes import VPalindromeHit
 
 SCHEMA_VERSION = "1"
+# The human-readable table first and bfile last: the CLI offers slices.
+FORMATS = ("table", "jsonl", "csv", "bfile")
 
 # The fields of each record kind, in record (and csv column) order.
 _FIELDS = {
@@ -34,6 +37,30 @@ _FIELDS = {
 
 # Field holding the integer a bfile line reports, per kind.
 _BFILE_FIELD = {"v_palindrome": "n", "scalar": "value"}
+
+# The table text of each record kind: its lines without the last newline.
+_TABLE_LINES = {
+    "v_palindrome": lambda r: decimal_str(r["n"]),
+    "check": lambda r: (
+        f"{r['n']} is a v-palindrome in base {r['base']}: "
+        f"reversal {r['reversal']}, shared v {r['shared_v']}"
+        if r["is_v_palindrome"]
+        else f"{r['n']} is not a v-palindrome in base {r['base']}"),
+    "scalar": lambda r: decimal_str(r["value"]),
+    "anchor": lambda r: (
+        f"m={r['m']} p={decimal_str(r['p'])} [{r['p_status']}] "
+        f"q={decimal_str(r['q'])} [{r['q_status']}] "
+        f"candidate={'yes' if r['is_candidate'] else 'no'}"),
+    "verification": lambda r: (
+        f"bound={r['bound']}\nbrute_force_hits={r['brute_force_hits']}\n"
+        f"characterization_hits={r['characterization_hits']}\n"
+        f"consistent={'yes' if r['consistent'] else 'no'}"),
+    "heuristic_term": lambda r: (
+        f"n={r['n']} probability={r['probability']!r} envelope={r['envelope']!r}"),
+    "heuristic_summary": lambda r: (
+        f"partial_sum={r['partial_sum']!r}\nenvelope_sum={r['envelope_sum']!r}\n"
+        f"tail_bound={r['tail_bound']!r}"),
+}
 
 
 def _record(kind: str, *values) -> dict:
@@ -101,12 +128,22 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
+    if isinstance(value, float) and math.isfinite(value):
+        return repr(value)  # the text json.dumps writes, at a third of its cost
     return _json_value(value)
 
 
 def _row_writer(fmt: str, kind, stream):
     """The function that writes one record of ``kind`` as ``fmt``, given the
     record and its 1-based index; for csv, the header is written now."""
+    if fmt == "table":
+        def table_lines(index, rec):
+            lines = _TABLE_LINES.get(rec.get("kind"))
+            if lines is None:
+                raise DomainError(
+                    f"no table layout for records of kind {rec.get('kind')!r}")
+            stream.write(lines(rec) + "\n")
+        return table_lines
     if fmt == "jsonl":
         return lambda index, rec: stream.write(_json_line(rec) + "\n")
     if fmt == "csv":
@@ -131,17 +168,18 @@ def _row_writer(fmt: str, kind, stream):
 def write_records(records, fmt: str, stream) -> None:
     """Write each record to ``stream`` as it arrives; no record, no output.
 
-    csv and bfile (OEIS b-file "index value" lines, 1-based) take their
-    layout from the first record's kind, and a later record of another kind
-    raises HeterogeneousRecords after the rows before it are written.
+    table and jsonl lay out each record by its own kind.  csv and bfile
+    (OEIS b-file "index value" lines, 1-based) take their layout from the
+    first record's kind, and a later record of another kind raises
+    HeterogeneousRecords after the rows before it are written.
     """
-    if fmt not in ("jsonl", "csv", "bfile"):
+    if fmt not in FORMATS:
         raise DomainError(f"unknown output format {fmt!r}")
     for index, rec in enumerate(records, start=1):
         if index == 1:
             kind = rec.get("kind")
             write = _row_writer(fmt, kind, stream)
-        elif fmt != "jsonl" and rec.get("kind") != kind:
+        elif fmt in ("csv", "bfile") and rec.get("kind") != kind:
             kinds = sorted(map(str, {kind, rec.get("kind")}))
             raise HeterogeneousRecords(
                 f"{fmt} output needs records of a single kind, got {kinds}"

@@ -20,7 +20,7 @@ from vpal import (
 )
 from vpal import anchors as anchors_mod
 from vpal import palindromes as palindromes_mod
-from vpal.arith import is_prime
+from vpal.arith import PrimalityVerdict, is_prime
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,7 +123,9 @@ class TestSearchAnchors:
         assert all(not r.is_candidate for r in results if r.m <= 4)
 
     def test_singleton_matches_check(self):
-        assert search_anchors(4, 4) == [check_anchor(4)]
+        # 40 and 41 lie at the sieve start; at 1000 both members are struck
+        for m in (4, 40, 41, 100, 1000):
+            assert search_anchors(m, m) == [check_anchor(m)]
 
     def test_bad_range(self):
         with pytest.raises(DomainError):
@@ -272,6 +274,20 @@ class TestIndexSieve:
         monkeypatch.setattr(anchors_mod, "is_prime", counting)
         search_anchors(200, 300)
         assert len(calls) == 49  # 202 without the sieve
+
+    def test_check_anchor_tests_no_struck_member(self, monkeypatch):
+        calls = []
+        real = anchors_mod.is_prime
+        monkeypatch.setattr(anchors_mod, "is_prime",
+                            lambda n, rounds=64: calls.append(n) or real(n, rounds))
+        res = check_anchor(1000)
+        assert calls == []
+        assert (res.p_verdict, res.q_verdict) == (PrimalityVerdict("composite"),) * 2
+        # at 41 only p is struck, so only q is tested
+        assert check_anchor(41).p_verdict == PrimalityVerdict("composite")
+        assert calls == [anchor(41)[1]]
+        with pytest.raises(DomainError, match="rounds"):
+            check_anchor(1000, rounds=0)
 
 
 def _tampered(tmp_path, **changes):

@@ -212,6 +212,43 @@ def test_heuristic_table(capsys):
     assert lines[-1].startswith("tail_bound=")
 
 
+TABLE_OUTPUT = {
+    "v 198": "18\n",
+    "reverse 8712": "2178\n",
+    "check 198": "198 is a v-palindrome in base 10: reversal 891, shared v 18\n",
+    "check 19": "19 is not a v-palindrome in base 10\n",
+    "check 100": "100 is not a v-palindrome in base 10\n",
+    "enumerate --lo 1 --hi 1000 --threads 1":
+        "18\n81\n198\n576\n675\n819\n891\n918\n",
+    "family repeat18 --k 3": "181818\n",
+    "anchors --from 1 --to 4": (
+        "m=1 p=49 [composite] q=47 [prime] candidate=no\n"
+        "m=2 p=499 [prime] q=497 [composite] candidate=no\n"
+        "m=3 p=4999 [prime] q=4997 [composite] candidate=no\n"
+        "m=4 p=49999 [prime] q=49997 [composite] candidate=no\n"
+    ),
+    "verify --bound 10000 --threads 1": (
+        "bound=10000\n"
+        "brute_force_hits=[]\n"
+        "characterization_hits=[]\n"
+        "consistent=yes\n"
+    ),
+    "heuristic --from 1 --to 3": (
+        "n=1 probability=0.06745982986649947 envelope=100.0\n"
+        "n=2 probability=0.025942631944631773 envelope=25.0\n"
+        "n=3 probability=0.013786950375894242 envelope=11.11111111111111\n"
+        "partial_sum=0.10718941218702549\n"
+        "envelope_sum=136.11111111111111\n"
+        "tail_bound=33.333333333333336\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(TABLE_OUTPUT))
+def test_table_output_byte_for_byte(capsys, argv):
+    assert run_cli(capsys, *argv.split()) == (0, TABLE_OUTPUT[argv], "")
+
+
 def test_heuristic_jsonl_has_summary(capsys):
     code, out, _ = run_cli(
         capsys, "heuristic", "--from", "1", "--to", "5", "--format", "jsonl"
@@ -267,6 +304,19 @@ def test_export_round_trip(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "export", "--format", "bfile")
     assert code == 0
     assert out == "1 18\n2 198\n"
+
+
+def test_export_csv_keeps_non_finite_floats(capsys, monkeypatch):
+    # a jsonl input may carry NaN and +-Infinity, which json.dumps spells out
+    jsonl = (
+        '{"schema_version": "1", "kind": "heuristic_term", "n": 1, "C": NaN, '
+        '"probability": Infinity, "envelope": -Infinity, "partial_sum": 0.1, '
+        '"envelope_partial_sum": -0.0}\n'
+    )
+    monkeypatch.setattr(sys, "stdin", io.StringIO(jsonl))
+    code, out, err = run_cli(capsys, "export", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "1,NaN,Infinity,-Infinity,0.1,-0.0"
 
 
 def test_export_heterogeneous_exit(capsys, monkeypatch):

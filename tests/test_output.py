@@ -124,6 +124,26 @@ def test_heterogeneous_rejected_for_csv_and_bfile():
     assert len(render(recs, "jsonl").splitlines()) == 2
 
 
+@pytest.mark.parametrize("x", [0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308,
+                               1e16, 123456789.125, float("nan"), float("inf"),
+                               float("-inf")])
+def test_csv_float_cells_are_the_json_text(x):
+    rec = output.scalar_record("v", 1, x)
+    assert render([rec], "csv").splitlines()[1] == f"v,1,,{json.dumps(x)}"
+
+
+def test_table_mixes_kinds_each_in_its_own_layout():
+    recs = [output.hit_record(HITS[0]), output.scalar_record("v", 198, 18),
+            output.hit_record(HITS[1])]
+    assert render(recs, "table") == "18\n18\n198\n"
+
+
+def test_table_without_a_layout_refused():
+    rec = {"schema_version": output.SCHEMA_VERSION, "kind": "unknown"}
+    with pytest.raises(DomainError, match="no table layout"):
+        render([rec], "table")
+
+
 def test_empty_stream_empty_output():
     for fmt in ("jsonl", "csv", "bfile"):
         assert render([], fmt) == ""
