@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     HeterogeneousRecords,
 )
-from .heuristic import DEFAULT_C, envelope_term, expected_count
+from .heuristic import DEFAULT_C, expected_count
 from .palindromes import (
     enumerate_v_palindromes,
     family_nines,
@@ -73,6 +73,8 @@ def _cmd_check(args):
 
 
 def _cmd_enumerate(args):
+    if args.hi < args.lo:
+        raise DomainError(f"empty range [{args.lo}, {args.hi}]")
     mode = "canonical" if args.canonical else "all"
     hits = enumerate_v_palindromes(
         args.lo, args.hi, base=args.base, mode=mode, workers=_resolve_threads(args)
@@ -108,12 +110,7 @@ def _cmd_verify(args):
 def _cmd_heuristic(args):
     C = DEFAULT_C if args.C is None else args.C
     rep = expected_count(args.n_start, args.n_end, C)
-    records = (
-        output.heuristic_term_record(n, C, term, envelope_term(n, C), partial, envelope)
-        for n, term, partial, envelope in zip(
-            range(rep.n_start, rep.N + 1), rep.terms, rep.partial_sums, rep.envelope_sums
-        )
-    )
+    records = (output.heuristic_term_record(n, C, *row) for n, *row in rep.rows())
     if args.format == "csv":
         # csv stays homogeneous: the totals ride along in the term rows
         return records

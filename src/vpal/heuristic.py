@@ -45,27 +45,21 @@ class KahanSum:
 
 @dataclass(frozen=True)
 class HeuristicReport:
-    """Per-index twin probabilities with their envelope and tail bound.
+    """Totals of the series over n_start..N, with the tail bound.
 
-    ``partial_sums`` and ``envelope_sums`` are the running sums of the
-    terms and of their envelope over n_start..N, one entry per index.
+    rows() walks the series again, one index at a time.
     """
 
     C: float
     n_start: int
     N: int
-    terms: list[float]
-    partial_sums: list[float]
-    envelope_sums: list[float]
+    partial_sum: float
+    envelope_sum: float
     tail_bound: float
 
-    @property
-    def partial_sum(self) -> float:
-        return self.partial_sums[-1]
-
-    @property
-    def envelope_sum(self) -> float:
-        return self.envelope_sums[-1]
+    def rows(self):
+        """(n, term, envelope term, partial sum, envelope sum) in ascending n."""
+        return _series(self.n_start, self.N, self.C)
 
 
 def _log_anchor(n: int) -> float:
@@ -98,6 +92,19 @@ def envelope_term(n: int, C: float = DEFAULT_C) -> float:
     return 100.0 * C / (n * n)
 
 
+def _series(n_start: int, N: int, C: float):
+    """Yield (n, term, envelope term, partial sum, envelope sum) for
+    n_start..N, accumulating in ascending n with compensated summation."""
+    partial = KahanSum()
+    envelope = KahanSum()
+    for n in range(n_start, N + 1):
+        t = pair_probability(n, C)
+        e = envelope_term(n, C)
+        partial.add(t)
+        envelope.add(e)
+        yield n, t, e, partial.total, envelope.total
+
+
 def expected_count(n_start: int, N: int, C: float = DEFAULT_C) -> HeuristicReport:
     """Partial sums of the expected-count series over [n_start, N].
 
@@ -107,22 +114,6 @@ def expected_count(n_start: int, N: int, C: float = DEFAULT_C) -> HeuristicRepor
     _check_model(n_start, C, "start index")
     if N < n_start:
         raise DomainError(f"empty index range [{n_start}, {N}]")
-    terms, partial_sums, envelope_sums = [], [], []
-    partial = KahanSum()
-    envelope = KahanSum()
-    for n in range(n_start, N + 1):
-        t = pair_probability(n, C)
-        terms.append(t)
-        partial.add(t)
-        partial_sums.append(partial.total)
-        envelope.add(envelope_term(n, C))
-        envelope_sums.append(envelope.total)
-    return HeuristicReport(
-        C=C,
-        n_start=n_start,
-        N=N,
-        terms=terms,
-        partial_sums=partial_sums,
-        envelope_sums=envelope_sums,
-        tail_bound=100.0 * C / N,
-    )
+    for _n, _t, _e, partial_sum, envelope_sum in _series(n_start, N, C):
+        pass
+    return HeuristicReport(C, n_start, N, partial_sum, envelope_sum, 100.0 * C / N)

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -118,6 +120,15 @@ def test_enumerate_csv(capsys):
     assert code == 0
     assert out.splitlines()[0] == "n,reversal,shared_v,base"
     assert out.splitlines()[1] == "18,81,7,10"
+
+
+@pytest.mark.parametrize("fmt", ["table", "jsonl", "csv", "bfile"])
+def test_enumerate_empty_range_refused(capsys, fmt):
+    # like anchors and heuristic; the library still yields nothing
+    code, out, err = run_cli(
+        capsys, "enumerate", "--lo", "10", "--hi", "1", "--format", fmt
+    )
+    assert (code, out, err) == (1, "", "error: empty range [10, 1]\n")
 
 
 def test_family(capsys):
@@ -291,6 +302,53 @@ def test_heuristic_at_the_largest_C_is_valid_json(capsys):
     assert code == 0
     recs = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
     assert recs[-1]["kind"] == "heuristic_summary" and len(recs) == 1001
+
+
+# sha256 of the stdout; 60..70 crosses _EXACT_LOG_MAX, where the anchor's log
+# switches from the exact bignum log to n*ln10 + ln5
+HEURISTIC_SHA256 = {
+    ("--from 1 --to 2000", "table"):
+        "b7e61ee98cdfbc4e79bfbceb07ed4d421f6ab058984ae613a5e6616843e01ce1",
+    ("--from 1 --to 2000", "jsonl"):
+        "0b9265c15083f8590ee2f6637eb25f62a4256d575bcb65248d299092bbbd5ac9",
+    ("--from 1 --to 2000", "csv"):
+        "4ed8631582bb69a00e3a21d85a12ea06f06bd0ccc7aa8ae45a858122ffd2e8e9",
+    ("--from 60 --to 70 --C 2.5", "table"):
+        "30eddd710c7c8c89b71d3a801ae7c22ffacddd70b51e06cccbbab385079e46cd",
+    ("--from 60 --to 70 --C 2.5", "jsonl"):
+        "03812d3715ac6d06b464a7af2fff40b0a2d1bfbf5d76fde0a3f71f7d96186160",
+    ("--from 60 --to 70 --C 2.5", "csv"):
+        "718cd9b33851a4a5cad9548cabf2e78b618abf5250fe9d0b33b1260506cdc24a",
+}
+
+
+@pytest.mark.parametrize("args,fmt", list(HEURISTIC_SHA256))
+def test_heuristic_bytes_pinned(capsys, args, fmt):
+    code, out, err = run_cli(capsys, "heuristic", *args.split(), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HEURISTIC_SHA256[args, fmt]
+
+
+class _Sink:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_heuristic_holds_no_list_of_its_terms(monkeypatch):
+    # the series is written term by term: 10^5 terms as lists of floats
+    # would take several MB
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    tracemalloc.start()
+    try:
+        code = main(["heuristic", "--from", "1", "--to", "100000", "--format", "csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000
 
 
 def test_export_round_trip(capsys, monkeypatch):

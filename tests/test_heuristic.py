@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -83,7 +84,7 @@ def test_pair_probability_strictly_decreasing():
 
 def test_expected_count_single_term():
     rep = expected_count(1, 1, 1.0)
-    assert rep.terms == [pair_probability(1, 1.0)]
+    assert [term for _n, term, *_ in rep.rows()] == [pair_probability(1, 1.0)]
     assert rep.partial_sum == pair_probability(1, 1.0)
     assert rep.envelope_sum == 100.0
     assert rep.tail_bound == 100.0
@@ -97,11 +98,13 @@ def test_expected_count_five_to_fifty_below_half():
 def test_expected_count_structure():
     rep = expected_count(3, 30, 2.0)
     assert rep.n_start == 3 and rep.N == 30 and rep.C == 2.0
-    assert len(rep.terms) == 28
+    rows = list(rep.rows())
+    assert [n for n, *_ in rows] == list(range(3, 31))
     assert rep.partial_sum <= rep.envelope_sum
     assert rep.tail_bound == pytest.approx(200.0 / 30)
-    for i, term in enumerate(rep.terms):
-        assert term <= envelope_term(3 + i, 2.0)
+    for n, term, envelope, _partial, _envelope_sum in rows:
+        assert envelope == envelope_term(n, 2.0)
+        assert term <= envelope
 
 
 def test_partial_sums_monotone_in_N():
@@ -115,7 +118,8 @@ def test_partial_sums_monotone_in_N():
 
 def test_sum_matches_fsum_oracle():
     rep = expected_count(1, 5000, 1.0)
-    assert rep.partial_sum == pytest.approx(math.fsum(rep.terms), abs=1e-12)
+    terms = [term for _n, term, *_ in rep.rows()]
+    assert rep.partial_sum == pytest.approx(math.fsum(terms), abs=1e-12)
     envelope_terms = [envelope_term(n, 1.0) for n in range(1, 5001)]
     assert rep.envelope_sum == pytest.approx(math.fsum(envelope_terms), abs=1e-9)
 
@@ -133,15 +137,31 @@ def test_expected_count_domain_errors():
                                          (60, 70, 0.5), (500, 2000, 1.0)])
 def test_running_sums_are_compensated_prefix_sums(n_start, N, C):
     rep = expected_count(n_start, N, C)
+    rows = list(rep.rows())
+    assert [n for n, *_ in rows] == list(range(n_start, N + 1))
     partial, envelope = KahanSum(), KahanSum()
-    for i, (n, term) in enumerate(zip(range(n_start, N + 1), rep.terms)):
+    for n, term, envelope_t, partial_sum, envelope_sum in rows:
+        assert term == pair_probability(n, C)
+        assert envelope_t == envelope_term(n, C)
         partial.add(term)
-        envelope.add(envelope_term(n, C))
-        assert rep.partial_sums[i] == partial.total
-        assert rep.envelope_sums[i] == envelope.total
-    assert len(rep.partial_sums) == len(rep.envelope_sums) == len(rep.terms) == N - n_start + 1
-    assert rep.partial_sums[-1] == rep.partial_sum
-    assert rep.envelope_sums[-1] == rep.envelope_sum
+        envelope.add(envelope_t)
+        assert partial_sum == partial.total
+        assert envelope_sum == envelope.total
+    # a second walk repeats the first, and ends on the report's totals
+    assert list(rep.rows()) == rows
+    assert rows[-1][3] == rep.partial_sum
+    assert rows[-1][4] == rep.envelope_sum
+
+
+def test_expected_count_holds_no_list_of_its_terms():
+    # 10^5 terms as lists of floats would take several MB
+    tracemalloc.start()
+    try:
+        expected_count(1, 10**5, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_kahan_sum_tracks_fsum():
