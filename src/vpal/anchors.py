@@ -204,7 +204,7 @@ def _read_checkpoint(path: str, rounds: int) -> dict[int, AnchorResult]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
     if not lines:
         return done

@@ -140,47 +140,33 @@ def is_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     return PrimalityVerdict("probable_prime", certainty=rounds)
 
 
-class _OutOfBudget(Exception):
-    pass
+def _brent_rho(m: int, left: float) -> tuple[int, float] | None:
+    """(nontrivial factor of an odd composite m, budget left) via Brent-cycle
+    rho, or None once a batch of iterations costs more than ``left``.
 
-
-class _Budget:
-    """Mutable operation counter; limit None means unlimited."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, limit):
-        if limit is not None and limit < 0:
-            raise DomainError(f"budget must be nonnegative, got {limit}")
-        self.left = limit
-
-    def spend(self) -> None:
-        """Charge one operation; _OutOfBudget once the limit is used up."""
-        if self.left is not None:
-            self.left -= 1
-            if self.left < 0:
-                raise _OutOfBudget
-
-
-def _brent_rho(m: int, counter: _Budget) -> int:
-    """Nontrivial factor of an odd composite m via Brent-cycle rho.
-
-    The polynomial increment walks a fixed sequence so results are
-    reproducible run to run.
+    Each run of iterations between two gcds is charged before it starts; a
+    batch always runs to its end, so refusing one it cannot pay for stops at
+    the same point as counting its iterations one by one.  The polynomial
+    increment walks a fixed sequence so results are reproducible run to run.
     """
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         x0 = ys = y
         while g == 1:
             x0 = y
+            left -= r
+            if left < 0:
+                return None
             for _ in range(r):
-                counter.spend()
                 y = (y * y + c) % m
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(128, r - k)):
-                    counter.spend()
+                batch = min(128, r - k)
+                left -= batch
+                if left < 0:
+                    return None
+                for _ in range(batch):
                     y = (y * y + c) % m
                     q = q * abs(x0 - y) % m
                 g = math.gcd(q, m)
@@ -189,11 +175,13 @@ def _brent_rho(m: int, counter: _Budget) -> int:
         if g == m:
             g = 1
             while g == 1:
-                counter.spend()
+                left -= 1
+                if left < 0:
+                    return None
                 ys = (ys * ys + c) % m
                 g = math.gcd(abs(x0 - ys), m)
         if g != m:
-            return g
+            return g, left
         # cycle degenerated for this increment; try the next one
 
 
@@ -203,49 +191,47 @@ def factorize(n: int, budget: int | None = None) -> list[tuple[int, int]]:
 
     Trial division peels off primes below 4096, then Brent's rho splits what
     remains.  ``budget`` caps the total operation count (division probes plus
-    rho iterations); when a cofactor cannot be split in time, BudgetExceeded
-    carries the partial factorization and the unsplit cofactor.  Cofactors
-    beyond DETERMINISTIC_BOUND are accepted as prime on a probable-prime
-    verdict.
+    rho iterations) and must be nonnegative; when a cofactor cannot be split
+    in time, BudgetExceeded carries the partial factorization and the unsplit
+    cofactor.  Cofactors beyond DETERMINISTIC_BOUND are accepted as prime on
+    a probable-prime verdict.
     """
     if n < 1:
         raise DomainError(f"factorize is defined for n >= 1, got {n}")
-    if n == 1:
-        return []
-    counter = _Budget(budget)
+    if budget is not None and budget < 0:
+        raise DomainError(f"budget must be nonnegative, got {budget}")
+    left = math.inf if budget is None else budget
     found: dict[int, int] = {}
     m = n  # the cofactor being worked on; the unsplit rest is m * prod(pending)
-    pending: list[int] = []
-    try:
-        fully_tried = False
-        for p in _SMALL_PRIMES:
-            if p * p > m:
-                fully_tried = True
-                break
-            counter.spend()
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                found[p] = e
-        if m == 1:
+    for i, p in enumerate(_SMALL_PRIMES):
+        if p * p > m:
+            # trial division covered all primes up to sqrt(m), so m is 1 or a
+            # prime above every one divided out
+            if m > 1:
+                found[m] = 1
             return sorted(found.items())
-        if fully_tried:
-            # trial division covered all primes up to sqrt(m), so m is prime
+        if i >= left:  # the budget paid for probes 0..i-1 only
+            raise BudgetExceeded(sorted(found.items()), m)
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            found[p] = e
+    left -= len(_SMALL_PRIMES)
+    if m == 1:
+        return sorted(found.items())
+    pending = [m]
+    while pending:
+        m = pending.pop()
+        if is_prime(m).non_composite:
             found[m] = found.get(m, 0) + 1
-            return sorted(found.items())
-        pending.append(m)
-        while pending:
-            m = pending.pop()
-            if is_prime(m).non_composite:
-                found[m] = found.get(m, 0) + 1
-                continue
-            d = _brent_rho(m, counter)
-            pending.append(d)
-            pending.append(m // d)
-    except _OutOfBudget:
-        raise BudgetExceeded(sorted(found.items()), m * math.prod(pending)) from None
+            continue
+        split = _brent_rho(m, left)
+        if split is None:
+            raise BudgetExceeded(sorted(found.items()), m * math.prod(pending))
+        d, left = split
+        pending += [d, m // d]
     return sorted(found.items())
 
 

@@ -82,24 +82,27 @@ def _check_model(n: int, C: float, what: str = "index") -> None:
 def pair_probability(n: int, C: float = DEFAULT_C) -> float:
     """Model bound C / log(5*10**n - 3)**2 on both anchors being prime."""
     _check_model(n, C)
-    lg = _log_anchor(n)
-    return C / (lg * lg)
+    return next(_series(n, n, C))[1]
 
 
 def envelope_term(n: int, C: float = DEFAULT_C) -> float:
     """The dominating term 100*C/n**2."""
     _check_model(n, C)
-    return 100.0 * C / (n * n)
+    return next(_series(n, n, C))[2]
 
 
 def _series(n_start: int, N: int, C: float):
     """Yield (n, term, envelope term, partial sum, envelope sum) for
-    n_start..N, accumulating in ascending n with compensated summation."""
+    n_start..N, accumulating in ascending n with compensated summation.
+
+    The caller has validated n_start and C.
+    """
     partial = KahanSum()
     envelope = KahanSum()
     for n in range(n_start, N + 1):
-        t = pair_probability(n, C)
-        e = envelope_term(n, C)
+        lg = _log_anchor(n)
+        t = C / (lg * lg)
+        e = 100.0 * C / (n * n)
         partial.add(t)
         envelope.add(e)
         yield n, t, e, partial.total, envelope.total

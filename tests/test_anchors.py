@@ -176,6 +176,15 @@ class TestSearchAnchors:
         with pytest.raises(CheckpointCorrupt):
             search_anchors(1, 3, checkpoint_path=str(path))
 
+    def test_non_utf8_checkpoint_refuses_untouched(self, tmp_path):
+        path = tmp_path / "search.ckpt"
+        data = (b'{"record": "header", "format": "vpal-anchor-search", "version": 1, '
+                b'"rounds": 64}\n\xff\xfe x\n')
+        path.write_bytes(data)
+        with pytest.raises(CheckpointCorrupt, match="cannot read checkpoint"):
+            search_anchors(1, 3, checkpoint_path=str(path))
+        assert path.read_bytes() == data
+
     def test_rounds_mismatch_refuses(self, tmp_path):
         path = tmp_path / "search.ckpt"
         search_anchors(1, 3, rounds=64, checkpoint_path=str(path))

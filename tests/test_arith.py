@@ -29,6 +29,132 @@ from vpal.arith import _PRIME_SEGMENT, _primes_upto, prime_flags, v_with_table
 # 2^89 - 1 is a Mersenne prime well above the deterministic witness range.
 BIG_PRIME = 2**89 - 1
 
+# factorize(n, budget) outcomes as a count of single operations gives them:
+# the factorization, or (partial, cofactor, message) of its BudgetExceeded.
+# Budgets k-1, k, k+1 around the trial-division probe count k of n (2 for
+# 198, 168 for 1000003 and 2000006, all 564 primes below 4096 for 4093**2
+# and 4099**2), and the rho batch edges of 16*(10**9 + 7)*(10**9 + 9) and of
+# 4099**2 * 1000003, whose partial grows between two rho splits.
+_BUDGET_OUTCOMES = [
+    (1, 0, []),
+    (1, None, []),
+    (2, 0, [(2, 1)]),
+    (1000003, 0, ([], 1000003,
+        "factorization budget exhausted with cofactor 1000003 unsplit")),
+    (1000003, 1, ([], 1000003,
+        "factorization budget exhausted with cofactor 1000003 unsplit")),
+    (1000003, 2, ([], 1000003,
+        "factorization budget exhausted with cofactor 1000003 unsplit")),
+    (198, 1, ([(2, 1)], 99,
+        "factorization budget exhausted with cofactor 99 unsplit")),
+    (198, 2, [(2, 1), (3, 2), (11, 1)]),
+    (198, 3, [(2, 1), (3, 2), (11, 1)]),
+    (1000003, 167, ([], 1000003,
+        "factorization budget exhausted with cofactor 1000003 unsplit")),
+    (1000003, 168, [(1000003, 1)]),
+    (1000003, 169, [(1000003, 1)]),
+    (2000006, 167, ([(2, 1)], 1000003,
+        "factorization budget exhausted with cofactor 1000003 unsplit")),
+    (2000006, 168, [(2, 1), (1000003, 1)]),
+    (2000006, 169, [(2, 1), (1000003, 1)]),
+    (16752649, 563, ([], 16752649,
+        "factorization budget exhausted with cofactor 16752649 unsplit")),
+    (16752649, 564, [(4093, 2)]),
+    (16752649, 565, [(4093, 2)]),
+    (16801801, 563, ([], 16801801,
+        "factorization budget exhausted with cofactor 16801801 unsplit")),
+    (16801801, 564, ([], 16801801,
+        "factorization budget exhausted with cofactor 16801801 unsplit")),
+    (16801801, 565, ([], 16801801,
+        "factorization budget exhausted with cofactor 16801801 unsplit")),
+    (16801801, 691, ([], 16801801,
+        "factorization budget exhausted with cofactor 16801801 unsplit")),
+    (16801801, 692, [(4099, 2)]),
+    (16000000256000001008, 564, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 565, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 566, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 567, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 568, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 569, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 570, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 571, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 573, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 574, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 575, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 577, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 578, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 579, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 585, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 586, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 587, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 593, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 594, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 595, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 609, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 610, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 611, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 625, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 626, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 627, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 657, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 658, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 659, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 689, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 690, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 691, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 50865, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 50866, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 50867, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 50993, ([(2, 4)], 1000000016000000063,
+        "factorization budget exhausted with cofactor 1000000016000000063 unsplit")),
+    (16000000256000001008, 50994, [(2, 4), (1000000007, 1), (1000000009, 1)]),
+    (16000000256000001008, 50995, [(2, 4), (1000000007, 1), (1000000009, 1)]),
+    (16801851405403, 689, ([], 16801851405403,
+        "factorization budget exhausted with cofactor 16801851405403 unsplit")),
+    (16801851405403, 690, ([(1000003, 1)], 16801801,
+        "factorization budget exhausted with cofactor 16801801 unsplit")),
+    (16801851405403, 691, ([(1000003, 1)], 16801801,
+        "factorization budget exhausted with cofactor 16801801 unsplit")),
+    (16801851405403, 817, ([(1000003, 1)], 16801801,
+        "factorization budget exhausted with cofactor 16801801 unsplit")),
+    (16801851405403, 818, [(4099, 2), (1000003, 1)]),
+]
+
 
 class TestFactorize:
     def test_worked_examples(self):
@@ -73,6 +199,19 @@ class TestFactorize:
 
     def test_budget_generous_enough_succeeds(self):
         assert factorize(198, budget=10_000) == [(2, 1), (3, 2), (11, 1)]
+
+    @pytest.mark.parametrize("n, budget, expected", _BUDGET_OUTCOMES)
+    def test_budget_outcomes_pinned(self, n, budget, expected):
+        try:
+            got = factorize(n, budget)
+        except BudgetExceeded as exc:
+            got = (exc.partial, exc.cofactor, str(exc))
+        assert got == expected
+
+    @pytest.mark.parametrize("n", [1, 6, 1_000_003])
+    def test_negative_budget_refused(self, n):
+        with pytest.raises(DomainError, match="budget must be nonnegative, got -1"):
+            factorize(n, budget=-1)
 
 
 class TestIsPrime:

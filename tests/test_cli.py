@@ -94,6 +94,24 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_budget_exhausted_in_trial_division_pinned(capsys):
+    code, out, err = run_cli(capsys, "v", "1000003", "--budget", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: factorization budget exhausted with cofactor 1000003 unsplit\n"
+
+
+@pytest.mark.parametrize("n", ["1", "6"])
+@pytest.mark.parametrize("from_env", [False, True])
+def test_negative_budget_refused(capsys, monkeypatch, n, from_env):
+    if from_env:
+        monkeypatch.setenv("VPAL_BUDGET", "-1")
+        code, out, err = run_cli(capsys, "v", n)
+    else:
+        code, out, err = run_cli(capsys, "v", n, "--budget", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: budget must be nonnegative, got -1\n"
+
+
 def test_enumerate_table(capsys):
     code, out, _ = run_cli(
         capsys, "enumerate", "--lo", "1", "--hi", "1000", "--canonical",
@@ -182,6 +200,20 @@ def test_anchors_checkpoint_corrupt_exit(tmp_path, capsys):
     )
     assert code == 2
     assert "checkpoint" in err or "ck.jsonl" in err
+
+
+def test_anchors_non_utf8_checkpoint_exit(tmp_path, capsys):
+    path = tmp_path / "ck.jsonl"
+    data = (b'{"record": "header", "format": "vpal-anchor-search", "version": 1, '
+            b'"rounds": 64}\n\xff\xfe x\n')
+    path.write_bytes(data)
+    code, out, err = run_cli(
+        capsys, "anchors", "--from", "1", "--to", "3", "--checkpoint", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read checkpoint {path}: ")
+    assert err.count("\n") == 1
+    assert path.read_bytes() == data
 
 
 def test_anchors_rounds_below_one_writes_no_checkpoint(tmp_path, capsys):

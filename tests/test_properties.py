@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vpal import (
+    BudgetExceeded,
+    factorize,
     from_digits,
     is_v_palindrome,
     length,
@@ -76,3 +78,14 @@ def test_predicate_symmetric(n, base):
     r = reverse(n, base)
     assume(r != n)
     assert is_v_palindrome(n, base) == is_v_palindrome(r, base)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=10**19), st.integers(min_value=0, max_value=3000))
+def test_factorize_budget_monotone_and_lossless(n, budget):
+    try:
+        found = factorize(n, budget)
+    except BudgetExceeded as exc:
+        assert exc.cofactor * math.prod(p**e for p, e in exc.partial) == n
+    else:
+        assert factorize(n, budget + 1) == found
