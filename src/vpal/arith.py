@@ -112,6 +112,11 @@ def _check_rounds(rounds: int) -> None:
         raise DomainError(f"rounds must be positive, got {rounds}")
 
 
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise DomainError(f"budget must be nonnegative, got {budget}")
+
+
 def is_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     """Primality verdict for n, deterministic below DETERMINISTIC_BOUND.
 
@@ -198,8 +203,7 @@ def factorize(n: int, budget: int | None = None) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise DomainError(f"factorize is defined for n >= 1, got {n}")
-    if budget is not None and budget < 0:
-        raise DomainError(f"budget must be nonnegative, got {budget}")
+    _check_budget(budget)
     left = math.inf if budget is None else budget
     found: dict[int, int] = {}
     m = n  # the cofactor being worked on; the unsplit rest is m * prod(pending)

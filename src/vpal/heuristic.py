@@ -23,6 +23,11 @@ _EXACT_LOG_MAX = 64
 # term, running sum and bound is a finite double.
 C_MAX = sys.float_info.max / 165
 
+# The largest index n whose n*n converts to a double: the envelope term
+# divides by it, and from 2**1024 - 2**970 on (halfway past the largest
+# double) the conversion overflows.
+_INDEX_MAX = math.isqrt(2**1024 - 2**970 - 1)
+
 _LN10 = math.log(10.0)
 _LN5 = math.log(5.0)
 
@@ -70,9 +75,11 @@ def _log_anchor(n: int) -> float:
 
 
 def _check_model(n: int, C: float, what: str = "index") -> None:
-    """DomainError unless n >= 1 and 0 < C <= C_MAX."""
+    """DomainError unless 1 <= n <= _INDEX_MAX and 0 < C <= C_MAX."""
     if n < 1:
         raise DomainError(f"{what} must be >= 1, got {n}")
+    if n > _INDEX_MAX:
+        raise DomainError(f"{what} must be at most {_INDEX_MAX}, got {n}")
     if not 0 < C <= C_MAX:
         raise DomainError(
             f"model constant must be finite and positive, at most {C_MAX!r}, got {C}"
@@ -95,7 +102,7 @@ def _series(n_start: int, N: int, C: float):
     """Yield (n, term, envelope term, partial sum, envelope sum) for
     n_start..N, accumulating in ascending n with compensated summation.
 
-    The caller has validated n_start and C.
+    The caller has validated both ends and C.
     """
     partial = KahanSum()
     envelope = KahanSum()
@@ -117,6 +124,7 @@ def expected_count(n_start: int, N: int, C: float = DEFAULT_C) -> HeuristicRepor
     _check_model(n_start, C, "start index")
     if N < n_start:
         raise DomainError(f"empty index range [{n_start}, {N}]")
+    _check_model(N, C, "end index")
     for _n, _t, _e, partial_sum, envelope_sum in _series(n_start, N, C):
         pass
     return HeuristicReport(C, n_start, N, partial_sum, envelope_sum, 100.0 * C / N)

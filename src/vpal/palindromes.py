@@ -4,8 +4,8 @@ infinite families.
 A v-palindrome in base b is an n >= 1 with b not dividing n, n different
 from its b-reverse r, and v(n) = v(r).
 
-The scanners skip every n whose v(n) no reversal value can share, by the
-composite bound: v(m) <= m/2 + 2 for every composite m.  For m = ab with
+The predicate and the scanners skip every n whose v(n) no reversal value
+can share, by the composite bound: v(m) <= m/2 + 2 for every composite m.  For m = ab with
 coprime a, b >= 2, v(m) = v(a) + v(b) <= a + b <= ab/2 + 2, since
 ab/2 + 2 - a - b = (a-2)(b-2)/2; for m = p**e with e >= 2,
 p + e <= p**e/2 + 2.  So v(r) = v(n) needs r prime with r = v(n), or
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import INT64_MAX, prime_flags, v, v_progression, v_segment
+from .arith import INT64_MAX, _check_budget, prime_flags, v, v_progression, v_segment
 from .digits import _check_base, length, reverse
 from .errors import DomainError
 
@@ -49,7 +49,8 @@ def is_v_palindrome(n: int, base: int = 10, budget: int | None = None) -> bool:
     """Whether n is a v-palindrome in the given base.
 
     Multiples of the base and reversal fixed points return False rather
-    than raising; only n < 1 is a domain error.
+    than raising; n < 1, a base below 2 and a negative budget are domain
+    errors, whatever n.
     """
     return as_hit(n, base, budget) is not None
 
@@ -60,15 +61,18 @@ def as_hit(n: int, base: int = 10, budget: int | None = None):
 
 
 def reversal_and_hit(n: int, base: int = 10, budget: int | None = None):
-    """(reverse(n), as_hit(n)): the predicate with the reversal it used."""
+    """(reverse(n), as_hit(n)): the predicate with the reversal it used.  It
+    filters with both tests of the scanners, so v(r) is factored only when
+    the composite bound (_may_share_v) lets it equal v(n)."""
     if n < 1:
         raise DomainError(f"the predicate is defined for n >= 1, got {n}")
     _check_base(base)
+    _check_budget(budget)
     r = reverse(n, base)
     if not _candidates(n, r, base, False):
         return r, None
     shared = v(n, budget)
-    if shared != v(r, budget):
+    if not _may_share_v(r, shared) or shared != v(r, budget):
         return r, None
     return r, VPalindromeHit(n, r, shared, base)
 
@@ -174,8 +178,10 @@ def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
 
 def _shard_hits(lo: int, hi: int, base: int, canonical: bool) -> list[tuple[int, int, int]]:
     """Hits in [lo, hi] as (n, reversal, shared_v) tuples, ascending; v of
-    every n comes from one segment sieve."""
-    return _block_hits(lo, v_segment(lo, hi), None, base, canonical)
+    every n comes from one segment sieve where _sieve_pays, else one v(n) each."""
+    pays = _sieve_pays(hi - lo + 1, hi)
+    v_n = v_segment(lo, hi) if pays else np.array([v(n) for n in range(lo, hi + 1)], np.int64)
+    return _block_hits(lo, v_n, None, base, canonical)
 
 
 def _prime_hit_spans(lo: int, hi: int, base: int) -> list[tuple[int, int]]:

@@ -12,6 +12,7 @@ from conftest import subprocess_env
 from vpal import check_anchor, reverse
 from vpal import anchors as anchors_mod
 from vpal import cli
+from vpal import heuristic as heuristic_mod
 from vpal import palindromes as palindromes_mod
 from vpal.heuristic import C_MAX
 from vpal.cli import main
@@ -100,16 +101,29 @@ def test_budget_exhausted_in_trial_division_pinned(capsys):
     assert err == "error: factorization budget exhausted with cofactor 1000003 unsplit\n"
 
 
-@pytest.mark.parametrize("n", ["1", "6"])
+# check 121 and check 100 factor nothing (a fixed point, a multiple of the
+# base), but refuse the budget all the same
+@pytest.mark.parametrize("argv", [
+    pytest.param(["v", "1"], id="1"), pytest.param(["v", "6"], id="6"),
+    pytest.param(["check", "121"], id="check-121"),
+    pytest.param(["check", "100"], id="check-100"),
+    pytest.param(["check", "198"], id="check-198")])
 @pytest.mark.parametrize("from_env", [False, True])
-def test_negative_budget_refused(capsys, monkeypatch, n, from_env):
+def test_negative_budget_refused(capsys, monkeypatch, argv, from_env):
     if from_env:
         monkeypatch.setenv("VPAL_BUDGET", "-1")
-        code, out, err = run_cli(capsys, "v", n)
+        code, out, err = run_cli(capsys, *argv)
     else:
-        code, out, err = run_cli(capsys, "v", n, "--budget", "-1")
+        code, out, err = run_cli(capsys, *argv, "--budget", "-1")
     assert (code, out) == (1, "")
     assert err == "error: budget must be nonnegative, got -1\n"
+
+
+def test_check_prime_decided_by_the_composite_bound(capsys):
+    # v(r) could not equal v(n) = n, so the small budget is never spent on r
+    n = "183595711398977211219009396143"
+    code, out, err = run_cli(capsys, "check", n, "--budget", "1000")
+    assert (code, out, err) == (0, f"{n} is not a v-palindrome in base 10\n", "")
 
 
 def test_enumerate_table(capsys):
@@ -321,6 +335,19 @@ def test_heuristic_rejects_non_finite_or_nonpositive_C(capsys, C):
     )
     assert (code, out) == (1, "")
     assert "error: model constant must be finite and positive" in err
+
+
+def test_heuristic_index_whose_square_is_no_double_refused(capsys):
+    top = str(heuristic_mod._INDEX_MAX)
+    code, out, err = run_cli(capsys, "heuristic", "--from", top, "--to", top,
+                             "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith(f"{top},1.0,0.0,")
+    past = str(heuristic_mod._INDEX_MAX + 1)
+    for lo, hi, what in [(past, past, "start index"), ("1", past, "end index")]:
+        code, out, err = run_cli(capsys, "heuristic", "--from", lo, "--to", hi)
+        assert (code, out) == (1, "")
+        assert err == f"error: {what} must be at most {top}, got {past}\n"
 
 
 def test_heuristic_at_the_largest_C_is_valid_json(capsys):

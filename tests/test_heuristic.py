@@ -9,7 +9,7 @@ from vpal import (
     expected_count,
     pair_probability,
 )
-from vpal.heuristic import C_MAX, KahanSum, _log_anchor
+from vpal.heuristic import _INDEX_MAX, C_MAX, KahanSum, _log_anchor
 
 
 def test_pair_probability_values():
@@ -122,6 +122,24 @@ def test_sum_matches_fsum_oracle():
     assert rep.partial_sum == pytest.approx(math.fsum(terms), abs=1e-12)
     envelope_terms = [envelope_term(n, 1.0) for n in range(1, 5001)]
     assert rep.envelope_sum == pytest.approx(math.fsum(envelope_terms), abs=1e-9)
+
+
+def test_index_bound_is_where_the_square_stops_being_a_double():
+    float(_INDEX_MAX * _INDEX_MAX)
+    with pytest.raises(OverflowError):
+        float((_INDEX_MAX + 1) ** 2)
+    top = _INDEX_MAX
+    assert pair_probability(top) == 0.0  # log(anchor)**2 overflows to inf
+    assert envelope_term(top) == 100.0 / float(top * top)
+    rep = expected_count(top, top)
+    assert list(rep.rows()) == [(top, 0.0, envelope_term(top), 0.0, envelope_term(top))]
+    for fn in (pair_probability, envelope_term):
+        with pytest.raises(DomainError, match="index must be at most"):
+            fn(top + 1)
+    with pytest.raises(DomainError, match="start index must be at most"):
+        expected_count(top + 1, top + 1)
+    with pytest.raises(DomainError, match="end index must be at most"):
+        expected_count(1, top + 1)
 
 
 def test_expected_count_domain_errors():

@@ -78,6 +78,10 @@ class TestPredicate:
             is_v_palindrome(0, 10)
         with pytest.raises(DomainError):
             is_v_palindrome(5, 1)
+        # a negative budget, also where nothing is factored
+        for n in (121, 100, 198):
+            with pytest.raises(DomainError, match="budget must be nonnegative, got -1"):
+                is_v_palindrome(n, budget=-1)
 
     def test_matches_oracle(self):
         rng = random.Random(20)
@@ -105,6 +109,23 @@ class TestPredicate:
         assert as_hit(19) is None
         assert as_hit(121) is None
         assert as_hit(100) is None
+
+    def test_composite_bound_skips_the_reversal(self, monkeypatch):
+        # a prime n has v(n) = n > r/2 + 2 here, so v(r) cannot equal v(n)
+        calls, v = [], palindromes_mod.v
+
+        def counted(m, budget=None):
+            calls.append(m)
+            return v(m, budget)
+
+        monkeypatch.setattr(palindromes_mod, "v", counted)
+        n = 183595711398977211219009396143
+        assert as_hit(n) is None
+        assert calls == [n]
+        # the reversal is still factored where the bound lets v(r) = v(n)
+        calls.clear()
+        assert as_hit(198) == VPalindromeHit(198, 891, 18, 10)
+        assert calls == [198, 891]
 
 
 class TestEnumerate:
@@ -186,11 +207,12 @@ class TestEnumerate:
         assert hits == expected
 
     @pytest.mark.parametrize("lo,hi", [(1, 3000), (64_000, 67_000),
-                                       (10**9 - 150, 10**9 + 150)])
-    @pytest.mark.parametrize("base", [10, 3])
+                                       (10**9 - 150, 10**9 + 150), (1, 30_000)])
+    @pytest.mark.parametrize("base", [10, 3, 16])
     @pytest.mark.parametrize("mode", ["all", "canonical"])
     def test_sieve_choice_does_not_change_hits(self, monkeypatch, lo, hi, base, mode):
-        # every block sieved, then every reversal factored on its own
+        # every shard and block sieved, then every n and reversal factored
+        # on its own
         monkeypatch.setattr(palindromes_mod, "_SIEVE_BREAK_EVEN", 0)
         sieved = list(enumerate_v_palindromes(lo, hi, base=base, mode=mode))
         monkeypatch.setattr(palindromes_mod, "_SIEVE_BREAK_EVEN", 10**30)
@@ -233,6 +255,8 @@ class TestEnumerate:
         monkeypatch.setattr(palindromes_mod, "v_segment", no_sieve)
         assert list(enumerate_v_palindromes(1, 65536, base=100_000)) == []
         assert list(enumerate_v_palindromes(1, 9)) == []
+        # nor does a window too narrow for the sieve to pay, high up
+        assert list(enumerate_v_palindromes(10**16, 10**16 + 10)) == []
 
     def test_first_hit_of_a_wide_range_holds_one_shard(self):
         # the shards are cut as they are read, so the memory before the
