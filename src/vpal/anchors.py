@@ -5,9 +5,9 @@ A prime v-palindrome must be the larger member of an anchor pair
 for prime v-palindromes reduces to primality checks on anchor pairs.  This
 module provides those checks, the algebraic reversal identity behind them,
 a resumable checkpointed search, and a brute-force cross-verifier.  The
-brute force scans [2, bound] through the range driver of vpal.palindromes,
-which cuts the shards one at a time and sieves only the parts of each that
-can hold a prime hit; how the range is cut is not known here.
+brute force hands the range driver of vpal.palindromes the spans of
+[base, bound] that can hold a prime hit, and the driver cuts them into
+shards one at a time; the rest of the range is never sent to a worker.
 
 Before any Miller-Rabin, the search runs an index sieve that strikes the
 members with a small prime factor, from the index on where a sieve step
@@ -24,14 +24,13 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-import numpy as np
-
 # v, spf_sieve and v_with_table are no longer called here, but
 # perfbench/tracing.py patches them under these names.
 from .arith import (  # noqa: F401
     DEFAULT_ROUNDS,
     PrimalityVerdict,
     _check_rounds,
+    _pow_mod,
     _primes_upto,
     is_prime,
     spf_sieve,
@@ -40,7 +39,13 @@ from .arith import (  # noqa: F401
 )
 from .digits import _check_base, length, reverse
 from .errors import CheckpointCorrupt, DomainError
-from .palindromes import _check_int64_reach, _prime_shard_hits, _scan, _shard_map
+from .palindromes import (
+    _check_int64_reach,
+    _prime_hit_spans,
+    _prime_shard_hits,
+    _scan,
+    _shard_map,
+)
 
 # Smallest m worth testing: exhaustive search shows no prime v-palindrome
 # has fewer than CANDIDATE_FLOOR + 1 digits.  verify_characterization can
@@ -135,21 +140,6 @@ _SIEVE_FROM = 40
 _STRUCK = PrimalityVerdict("composite")
 
 
-def _pow_mod(base: int, e: int, mods: np.ndarray) -> np.ndarray:
-    """base**e mod each of mods (all below 2**16), by square-and-multiply;
-    every product stays below 2**32.  Dividing 10**e by each prime as a
-    Python int would cost only 1-14 ms for e in [200, 3000], but its 6,539
-    int objects raise the peak RSS of an anchors run by 0.45 MB."""
-    acc = np.ones_like(mods)
-    b = base % mods
-    while e:
-        if e & 1:
-            acc = acc * b % mods
-        b = b * b % mods
-        e >>= 1
-    return acc
-
-
 def _index_sieve(m_lo: int, m_hi: int):
     """(m, p_struck, q_struck) for m in [m_lo, m_hi], ascending: from
     _SIEVE_FROM on, a member is struck when a sieving prime divides it,
@@ -162,6 +152,8 @@ def _index_sieve(m_lo: int, m_hi: int):
         return
     ells = _primes_upto(_SIEVE_LIMIT)
     ells = ells[ells >= 7]
+    # a vector power: 10**start % ell through Python ints would hold 6,539
+    # int objects, 0.45 MB more peak RSS on an anchors run
     r = 5 * _pow_mod(10, start, ells) % ells
     for m in range(start, m_hi + 1):
         yield m, bool((r == 1).any()), bool((r == 3).any())
@@ -322,8 +314,11 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
 # --- brute-force cross-verification ------------------------------------
 
 def _brute_force_hits(bound: int, base: int, workers: int) -> list[int]:
-    """Every prime v-palindrome p <= bound, ascending."""
-    return list(_scan(_prime_shard_hits, 2, bound, base, workers))
+    """Every prime v-palindrome p <= bound, ascending.  Only the spans that
+    can hold a prime hit are cut into shards; every p below the base is a
+    one-digit fixed point of reversal."""
+    spans = _prime_hit_spans(base, bound, base)
+    return list(_scan(_prime_shard_hits, spans, base, workers))
 
 
 def verify_characterization(bound: int, base: int = 10, workers: int = 1,

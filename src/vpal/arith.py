@@ -313,6 +313,101 @@ def v_with_table(n: int, spf: np.ndarray) -> int:
 
 INT64_MAX = np.iinfo(np.int64).max
 _PRIME_SLICE = 1 << 12
+# A prime whose powers hit at least this many terms (count // p) is struck
+# through strided slices, one Python step per power; the rest of a slice of
+# the prime table is struck all at once (_strike_sparse).  Timed over the
+# sieve calls of verify --bound 10^7 and enumerate 1..150000 and over blocks
+# near 10^8 and 10^12 (2-vCPU machine): 256 to 1024 were within the noise of
+# each other, while 32, 64 and 4096 slowed the verify calls by 10-40%.
+_DENSE_HITS = 256
+# Below this many sparse primes in a slice, the fixed cost of the
+# vectorised strike (a modular power, then some 30 array operations per
+# power of p) exceeds the strided steps it saves, and those primes are
+# looped too: timed on 100- to 30,000-term blocks, the two broke even
+# between 16 and 48 primes.
+_SPARSE_MIN = 32
+
+
+def _pow_mod(base, e, mods: np.ndarray) -> np.ndarray:
+    """base**e mod each of mods, elementwise, as int64, by square-and-multiply.
+
+    base and e are each an int or an int64 array matching mods; e >= 0.
+    Every modulus must be at most isqrt(INT64_MAX) = 3,037,000,499, so that
+    the product of two residues fits in int64.
+    """
+    top = e if isinstance(e, int) else int(e.max(initial=0))
+    acc = np.ones_like(mods)
+    b = base % mods
+    for i in range(top.bit_length()):
+        if i:
+            b = b * b % mods
+        acc = np.where(e >> i & 1, acc * b % mods, acc)
+    return acc
+
+
+def _strike_slices(found: np.ndarray, acc: np.ndarray, a: int, step: int,
+                   p: int, last: int) -> None:
+    """Multiply every power of p dividing a term into found, and add its
+    share of v to acc, one strided slice per power."""
+    count = found.size
+    b, t, e = a, step, 1  # e: the exponent of p the next strike brings
+    if step % p == 0:
+        # p divides every term or none.  All share p**d with
+        # d = min(v_p(a), v_p(step)); with that divided out, the quotient
+        # terms b + s*t hold more of p only when p no longer divides t
+        while b % p == 0 and t % p == 0:
+            b, t, e = b // p, t // p, e + 1
+        if e > 1:
+            found *= p ** (e - 1)
+            acc += p + iota(e - 1)
+        if t % p == 0:
+            return
+    # p**k divides the quotient terms s = -b/t mod p**k, every p**k-th
+    # on; exponent 1 adds p, reaching 2 adds iota(2) = 2, each later one 1
+    q = p
+    while q <= last:
+        s = -b * pow(t, -1, q) % q
+        if s >= count:
+            return
+        found[s::q] *= p
+        acc[s::q] += p if e == 1 else 2 if e == 2 else 1
+        q *= p
+        e += 1
+
+
+def _strike_sparse(found: np.ndarray, acc: np.ndarray, a: int, step: int,
+                   p: np.ndarray, last: int) -> None:
+    """_strike_slices for every prime of p at once; none divides step.
+
+    The first term p divides is s = -a/step mod p, with step**(p-2) for the
+    inverse.  A start s mod q = p**k lifts to q*p by Hensel: the terms
+    s + q*u with p**(k+1) dividing them have u = -((a + s*step)/q)/step
+    mod p.  Every product stays at or below last, so all of it is int64.
+    Each power's hits are expanded into one index array and applied with
+    ufunc.at, which handles terms two primes hit.
+    """
+    count = found.size
+    inv = _pow_mod(step, p - 2, p)
+    # one column per prime: p, its power q, the first term q divides, 1/step
+    rows = np.stack([p, p, -a % p * inv % p, inv])
+    level = 1
+    while True:
+        rows = rows[:, rows[2] < count]
+        if not rows.shape[1]:
+            return
+        p, q, s, inv = rows
+        hits = (count - 1 - s) // q + 1
+        ends = np.cumsum(hits)
+        idx = np.repeat(s - (ends - hits) * q, hits)
+        idx += np.arange(ends[-1]) * np.repeat(q, hits)
+        # exponent 1 adds p, reaching 2 adds iota(2) = 2, each later one 1
+        strike = np.repeat(p, hits)
+        np.multiply.at(found, idx, strike)
+        np.add.at(acc, idx, strike if level == 1 else 2 if level == 2 else 1)
+        p, q, s, inv = rows[:, q <= last // p]
+        u = (s * step + a) // q % p
+        rows = np.stack([p, q * p, s + q * ((p - u) * inv % p), inv])
+        level += 1
 
 
 def v_progression(a: int, step: int, count: int) -> np.ndarray:
@@ -321,11 +416,11 @@ def v_progression(a: int, step: int, count: int) -> np.ndarray:
     One sieve over the progression with the primes up to the square root of
     its last term.  A prime p that does not divide step divides exactly the
     terms at s = -a/step mod p, then every p-th one, so each power p**k is
-    multiplied into the found part of those terms through one strided
-    slice (a multiply costs a fraction of an int64 division).  A prime that
-    divides step divides either every term or none; the power all terms
-    share is multiplied in at once, and the rest of p falls on strided terms
-    of the quotient progression as above.  Every term must fit in int64.
+    multiplied into the found part of those terms (a multiply costs a
+    fraction of an int64 division).  The primes that divide step, and those
+    whose powers hit many terms, are struck one strided slice per power;
+    the many primes that hit few terms are struck a slice of the table at
+    a time, as array operations.  Every term must fit in int64.
     """
     if a < 1 or step < 1:
         raise DomainError(f"progression start and step must be >= 1, got {a}, {step}")
@@ -339,32 +434,16 @@ def v_progression(a: int, step: int, count: int) -> np.ndarray:
     primes = _primes_upto(math.isqrt(last))
     found = np.ones(count, dtype=np.int64)  # product of the prime powers found
     acc = np.zeros(count, dtype=np.int64)
-    # walk the table in slices so that no list of all of it is built
-    slices = (primes[i : i + _PRIME_SLICE].tolist() for i in range(0, primes.size, _PRIME_SLICE))
-    for p in itertools.chain.from_iterable(slices):
-        b, t, e = a, step, 1  # e: the exponent of p the next strike brings
-        if step % p == 0:
-            # p divides every term or none.  All share p**d with
-            # d = min(v_p(a), v_p(step)); with that divided out, the quotient
-            # terms b + s*t hold more of p only when p no longer divides t
-            while b % p == 0 and t % p == 0:
-                b, t, e = b // p, t // p, e + 1
-            if e > 1:
-                found *= p ** (e - 1)
-                acc += p + iota(e - 1)
-            if t % p == 0:
-                continue
-        # p**k divides the quotient terms s = -b/t mod p**k, every p**k-th
-        # on; exponent 1 adds p, reaching 2 adds iota(2) = 2, each later one 1
-        q = p
-        while q <= last:
-            s = -b * pow(t, -1, q) % q
-            if s >= count:
-                break
-            found[s::q] *= p
-            acc[s::q] += p if e == 1 else 2 if e == 2 else 1
-            q *= p
-            e += 1
+    # walk the table in slices so that no array of all of it is derived
+    for i in range(0, primes.size, _PRIME_SLICE):
+        chunk = primes[i : i + _PRIME_SLICE]
+        looped = (chunk <= count // _DENSE_HITS) | (step % chunk == 0)
+        if np.count_nonzero(~looped) < _SPARSE_MIN:
+            looped[:] = True
+        for p in chunk[looped].tolist():
+            _strike_slices(found, acc, a, step, p, last)
+        if not looped.all():
+            _strike_sparse(found, acc, a, step, chunk[~looped], last)
     # what survives is 1 or a single prime: a composite survivor would
     # exceed the last term, since its prime factors all exceed its root
     rem = np.arange(count, dtype=np.int64)

@@ -108,7 +108,11 @@ def _series(n_start: int, N: int, C: float):
     envelope = KahanSum()
     for n in range(n_start, N + 1):
         lg = _log_anchor(n)
-        t = C / (lg * lg)
+        square = lg * lg
+        # lg*lg overflows from n ~ 5.8e153 on, where C/lg/lg is still a
+        # (subnormal) double; where the square is finite, C/(lg*lg) is used,
+        # since C/lg/lg can round differently in the last bit
+        t = C / square if square < math.inf else C / lg / lg
         e = 100.0 * C / (n * n)
         partial.add(t)
         envelope.add(e)

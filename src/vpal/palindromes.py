@@ -113,9 +113,12 @@ def _sieve_pays(terms: int, last: int) -> bool:
     """Whether one progression sieve up to ``last`` costs less than ``terms``
     single factorizations.
 
-    The sieve spends one step per prime below sqrt(last), so its cost grows
-    like sqrt(last)/bits; one v(r) grows only like bits**3, bits being the
-    bit length of last.
+    The sieve reads every prime below sqrt(last), so its cost grows like
+    sqrt(last)/bits; one v(r) grows only like bits**3, bits being the bit
+    length of last.  Only the primes that divide the step or hit many terms
+    cost a Python step each; the rest cost a few array elements each (a
+    modular power and its lifts), so the constant was timed on a sieve
+    several times slower per prime than this one.
     """
     return terms * last.bit_length() ** 4 >= _SIEVE_BREAK_EVEN * math.isqrt(last)
 
@@ -211,7 +214,8 @@ def _prime_shard_hits(lo: int, hi: int, base: int) -> list[int]:
 
     v(p) = p for a prime, so p is a hit exactly when v of its reversal
     equals p.  The primes come from one segmented sieve per span of
-    _prime_hit_spans; the rest of the shard is never sieved.
+    _prime_hit_spans; the rest of the range is never sieved.  The shards of
+    the brute force lie in one span each.
     """
     out = []
     for x, y in _prime_hit_spans(lo, hi, base):
@@ -279,21 +283,19 @@ def _shard_map(fn, shards, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _scan(fn, lo: int, hi: int, base: int, workers: int, *args):
-    """The items of fn(a, b, base, *args) over the shards [a, b] of
-    [max(lo, base), hi], in shard order; every n below the base is a
-    one-digit fixed point of reversal.
+def _scan(fn, spans, base: int, workers: int, *args):
+    """The items of fn(a, b, base, *args) over the shards [a, b] of the
+    spans, ascending disjoint (lo, hi) pairs, in shard order; an empty span
+    gives no shard.
 
-    The shards are cut at the multiples of the shard width, so the cuts do
-    not depend on the worker count, and they are cut one at a time as
-    _shard_map reads them: memory does not grow with the range.
+    Each span is cut at the multiples of the shard width, so the cuts do
+    not depend on the worker count, and the shards are cut one at a time as
+    _shard_map reads them: memory does not grow with the spans' width.
     """
-    start = max(lo, base)
-    if hi < start:
-        return
     width = _shard_width(base)
-    shards = ((max(a, start), min(a + width - 1, hi), base, *args)
-              for a in range(start // width * width, hi + 1, width))
+    shards = ((max(a, lo), min(a + width - 1, hi), base, *args)
+              for lo, hi in spans
+              for a in range(lo // width * width, hi + 1, width) if lo <= hi)
     for items in _shard_map(fn, shards, workers):
         yield from items
 
@@ -316,7 +318,9 @@ def enumerate_v_palindromes(lo: int, hi: int, base: int = 10, mode: str = "all",
     if hi < max(lo, 1):
         return
     _check_int64_reach(hi, base)
-    for n, r, shared in _scan(_shard_hits, lo, hi, base, workers, mode == "canonical"):
+    # every n below the base is a one-digit fixed point of reversal
+    spans = [(max(lo, base), hi)]
+    for n, r, shared in _scan(_shard_hits, spans, base, workers, mode == "canonical"):
         yield VPalindromeHit(n, r, shared, base)
 
 

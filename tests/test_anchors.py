@@ -254,12 +254,6 @@ class TestIndexSieve:
         full = list(anchors_mod._index_sieve(1, 400))
         assert list(anchors_mod._index_sieve(m_lo, 400)) == full[m_lo - 1:]
 
-    def test_start_residue_by_square_and_multiply(self):
-        ells = anchors_mod._primes_upto(anchors_mod._SIEVE_LIMIT)
-        for e in (0, 1, 2, 17, 400, 2**40 + 3):
-            got = anchors_mod._pow_mod(10, e, ells).tolist()
-            assert got == [pow(10, e, ell) for ell in ells.tolist()]
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_search_equals_is_prime_per_member(self, workers):
         results = search_anchors(1, 400, workers=workers)
@@ -449,6 +443,23 @@ class TestVerifyCharacterization:
         expected = _prime_v_palindromes(bound, base)
         assert anchors_mod._brute_force_hits(bound, base, 1) == expected
         assert anchors_mod._brute_force_hits(bound, base, 2) == expected
+
+    def test_only_the_prime_hit_spans_are_cut_into_shards(self, monkeypatch):
+        shards = []
+
+        def record(lo, hi, base):
+            shards.append((lo, hi))
+            return []
+
+        monkeypatch.setattr(anchors_mod, "_prime_shard_hits", record)
+        assert anchors_mod._brute_force_hits(10**7, 10, 1) == []
+        # the spans of 2..5-digit n below 5*10**(L-1), 6- and 7-digit ones cut
+        # at the multiples of the shard width 10**5, and 10**7 itself
+        width = 10**5
+        expected = [(10, 49), (100, 499), (1000, 4999), (10**4, 49_999)]
+        expected += [(a, a + width - 1) for a in range(10**5, 5 * 10**5, width)]
+        expected += [(a, a + width - 1) for a in range(10**6, 5 * 10**6, width)]
+        assert shards == expected + [(10**7, 10**7)]
 
     def test_bound_beyond_int64_rejected(self):
         with pytest.raises(DomainError):

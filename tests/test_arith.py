@@ -24,7 +24,16 @@ from vpal import (
     v_segment,
 )
 from vpal import arith
-from vpal.arith import _PRIME_SEGMENT, _primes_upto, prime_flags, v_with_table
+from vpal.arith import (
+    _DENSE_HITS,
+    _PRIME_SEGMENT,
+    _PRIME_SLICE,
+    INT64_MAX,
+    _pow_mod,
+    _primes_upto,
+    prime_flags,
+    v_with_table,
+)
 
 # 2^89 - 1 is a Mersenne prime well above the deterministic witness range.
 BIG_PRIME = 2**89 - 1
@@ -511,3 +520,123 @@ class TestSieves:
             v_progression(1, 0, 5)
         with pytest.raises(DomainError):
             v_progression(2**62, 2**62, 2)
+
+
+class TestPowMod:
+    def test_start_residue_by_square_and_multiply(self):
+        ells = _primes_upto(1 << 16)
+        for e in (0, 1, 2, 17, 400, 2**40 + 3):
+            got = _pow_mod(10, e, ells).tolist()
+            assert got == [pow(10, e, ell) for ell in ells.tolist()]
+
+    def test_array_exponents_and_bases(self):
+        rng = np.random.default_rng(5)
+        top = math.isqrt(INT64_MAX)  # the largest modulus it supports
+        mods = np.concatenate([_primes_upto(10**5), [top, top - 1, 2**31 - 1, 2]])
+        for e, base in [
+            (rng.integers(0, 2**40, mods.size), 10),
+            (rng.integers(0, 2**62, mods.size), rng.integers(0, INT64_MAX, mods.size)),
+            (np.zeros(mods.size, dtype=np.int64), 7),
+        ]:
+            got = _pow_mod(base, e, mods).tolist()
+            bases = np.broadcast_to(base, mods.shape).tolist()
+            assert got == [pow(b, x, m) for b, x, m in zip(bases, e.tolist(), mods.tolist())]
+
+    def test_fermat_inverses(self):
+        # the progression sieve's step**(p-2) mod p, for steps coprime to p
+        p = _primes_upto(10**5)[3:]
+        for step in (10, 10**17, 2**61 - 1):
+            inv = _pow_mod(step, p - 2, p)
+            assert (inv * (step % p) % p == 1).all()
+
+
+def _strikes(monkeypatch):
+    """Count the primes each strike path of v_progression takes."""
+    seen = {"slices": 0, "sparse": 0, "sparse_calls": 0}
+    slices, sparse = arith._strike_slices, arith._strike_sparse
+
+    def counted_slices(found, acc, a, step, p, last):
+        seen["slices"] += 1
+        slices(found, acc, a, step, p, last)
+
+    def counted_sparse(found, acc, a, step, p, last):
+        seen["sparse"] += p.size
+        seen["sparse_calls"] += 1
+        sparse(found, acc, a, step, p, last)
+
+    monkeypatch.setattr(arith, "_strike_slices", counted_slices)
+    monkeypatch.setattr(arith, "_strike_sparse", counted_sparse)
+    return seen
+
+
+def _oracle_checked_terms(a, step, count, sample, seed):
+    """A seeded sample of the term indices, plus every term that the square
+    of a prime struck by the vectorised path divides (its lifted powers)."""
+    last = a + (count - 1) * step
+    picks = set(random.Random(seed).sample(range(count), min(sample, count)))
+    for p in primes_upto(math.isqrt(last)):
+        if count // p >= _DENSE_HITS or step % p == 0:
+            continue
+        q = p * p
+        if q > last:
+            break
+        picks.update(range(-a * pow(step, -1, q) % q, count, q))
+    return sorted(picks)
+
+
+class TestProgressionStrikes:
+    """v_progression against oracle_v on both strike paths: strided slices
+    for the primes dividing the step or hitting many terms, and one array
+    pass per slice of the table for the rest."""
+
+    @pytest.mark.parametrize("a,step,count,sample", [
+        (10**9 + 7, 10, 10**4, 300),
+        (10**9 - 4 * 10**5, 1, 10**5, 200),
+        (10**11 + 3, 100, 10**4, 40),
+        (10**12 - 10**4, 1, 10**4, 20),
+    ])
+    def test_blocks_on_both_sides_of_the_crossover(self, monkeypatch, a, step, count,
+                                                   sample):
+        seen = _strikes(monkeypatch)
+        got = v_progression(a, step, count)
+        assert seen["slices"] and seen["sparse"]
+        for s in _oracle_checked_terms(a, step, count, sample, a):
+            assert got[s] == oracle_v(a + s * step), (a, step, s)
+
+    @pytest.mark.parametrize("a,step,count", [
+        (53**3 * 59**3, 10, 10**4),  # both cubes above the crossover
+        (53**5 * 3, 1, 10**4),  # 53**5 at term 0, 53**2 every 2809 terms
+        (127**3 * 2, 3, 3 * 10**4),  # 127**2 < count: two level-2 hits
+    ])
+    def test_lifted_powers_of_sparse_primes(self, monkeypatch, a, step, count):
+        seen = _strikes(monkeypatch)
+        got = v_progression(a, step, count)
+        assert seen["sparse"]
+        checked = _oracle_checked_terms(a, step, count, 20, a)
+        for s in checked:
+            assert got[s] == oracle_v(a + s * step), (a, step, s)
+        assert 0 in checked  # the term holding the highest powers
+
+    @pytest.mark.parametrize("a", [1009**2 * 7, 1009 * 13, 1009**3, 123457])
+    def test_step_with_a_prime_factor_above_the_crossover(self, monkeypatch, a):
+        step, count = 10 * 1009, 2000
+        assert count // 1009 < _DENSE_HITS
+        seen = _strikes(monkeypatch)
+        got = v_progression(a, step, count)
+        assert seen["slices"] and seen["sparse"]
+        assert got.tolist() == [oracle_v(a + s * step) for s in range(count)]
+
+    def test_prime_table_of_several_slices(self, monkeypatch):
+        a, step, count = 10**10 + 1, 100, 3 * 10**4
+        assert primes_upto(math.isqrt(a + (count - 1) * step)).__len__() > 2 * _PRIME_SLICE
+        seen = _strikes(monkeypatch)
+        got = v_progression(a, step, count)
+        assert seen["sparse_calls"] >= 3
+        for s in _oracle_checked_terms(a, step, count, 100, 1):
+            assert got[s] == oracle_v(a + s * step), s
+
+    @pytest.mark.parametrize("a", [999_999_999_989, 1009**2 * 997 * 991, 2**39, 3**25])
+    def test_single_term_with_a_huge_step(self, monkeypatch, a):
+        seen = _strikes(monkeypatch)
+        assert v_progression(a, 10**30, 1).tolist() == [oracle_v(a)]
+        assert seen["sparse"]

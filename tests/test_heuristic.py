@@ -129,10 +129,12 @@ def test_index_bound_is_where_the_square_stops_being_a_double():
     with pytest.raises(OverflowError):
         float((_INDEX_MAX + 1) ** 2)
     top = _INDEX_MAX
-    assert pair_probability(top) == 0.0  # log(anchor)**2 overflows to inf
+    lg = _log_anchor(top)
+    assert lg * lg == math.inf and pair_probability(top) == 1.0 / lg / lg > 0.0
     assert envelope_term(top) == 100.0 / float(top * top)
     rep = expected_count(top, top)
-    assert list(rep.rows()) == [(top, 0.0, envelope_term(top), 0.0, envelope_term(top))]
+    t = pair_probability(top)
+    assert list(rep.rows()) == [(top, t, envelope_term(top), t, envelope_term(top))]
     for fn in (pair_probability, envelope_term):
         with pytest.raises(DomainError, match="index must be at most"):
             fn(top + 1)
@@ -140,6 +142,19 @@ def test_index_bound_is_where_the_square_stops_being_a_double():
         expected_count(top + 1, top + 1)
     with pytest.raises(DomainError, match="end index must be at most"):
         expected_count(1, top + 1)
+
+
+def test_terms_past_the_square_overflow_are_not_zero():
+    # log(anchor)**2 overflows from n ~ 5.8e153 on; the term is then C/lg/lg,
+    # a subnormal, and below that the value of C/(lg*lg) is kept bit for bit
+    for n, finite in ((5 * 10**153, True), (10**154, False)):
+        lg = _log_anchor(n)
+        assert (lg * lg < math.inf) == finite
+        expect = 2.0 / (lg * lg) if finite else 2.0 / lg / lg
+        assert pair_probability(n, 2.0) == expect > 0.0
+    assert pair_probability(10**154) == pytest.approx(1.886117e-309, rel=1e-6)
+    rep = expected_count(10**154, 10**154 + 3)
+    assert all(t > 0.0 for _n, t, *_ in rep.rows())
 
 
 def test_expected_count_domain_errors():

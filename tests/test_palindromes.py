@@ -236,11 +236,9 @@ class TestEnumerate:
         (10**6, 1, 2**17)])
     def test_shards_tile_into_aligned_blocks(self, base, power, width):
         assert palindromes_mod._shard_width(base) == width
-        lo, hi = 7, base + 5 * width + 11
-        shards = list(palindromes_mod._scan(lambda a, b, _base: [(a, b)], lo, hi, base, 1))
-        # the scan starts at the base: every n below it is a one-digit
-        # reversal fixed point
-        assert shards[0][0] == max(lo, base) and shards[-1][1] == hi
+        lo, hi = base + 7, base + 5 * width + 11
+        shards = list(palindromes_mod._scan(lambda a, b, _base: [(a, b)], [(lo, hi)], base, 1))
+        assert shards[0][0] == lo and shards[-1][1] == hi
         for (_, end), (start, _) in zip(shards, shards[1:]):
             assert start == end + 1 and start % width == 0
         # every full shard is whole blocks of the largest power of the base
@@ -405,7 +403,8 @@ class TestCompositeBound:
         assert palindromes_mod._prime_hit_spans(5 * 10**5, 10**6 - 1, 10) == []
 
     def test_scan_reaches_the_first_prime_hit_of_a_wide_range(self):
-        hits = palindromes_mod._scan(palindromes_mod._prime_shard_hits, 2, 16**12, 16, 1)
+        spans = palindromes_mod._prime_hit_spans(16, 16**12, 16)
+        hits = palindromes_mod._scan(palindromes_mod._prime_shard_hits, spans, 16, 1)
         assert next(hits) == 109
         hits.close()
 
