@@ -22,12 +22,9 @@ from .arith import (
     DEFAULT_ROUNDS,
     DETERMINISTIC_BOUND,
     PrimalityVerdict,
-    alladi_erdos_A,
     factorize,
     iota,
     is_prime,
-    oeis_F,
-    oeis_G,
     primes_upto,
     spf_sieve,
     v,
@@ -78,7 +75,6 @@ __all__ = [
     "PrimalityVerdict",
     "VPalindromeHit",
     "VerificationReport",
-    "alladi_erdos_A",
     "anchor",
     "as_hit",
     "check_anchor",
@@ -95,8 +91,6 @@ __all__ = [
     "is_prime",
     "is_v_palindrome",
     "length",
-    "oeis_F",
-    "oeis_G",
     "pair_probability",
     "primes_upto",
     "reverse",

@@ -1,5 +1,5 @@
-"""Integer factorization, primality testing, and the additive functions built
-on factorizations.
+"""Integer factorization, primality testing, the additive function v, and the
+batch sieves that give v of many integers at once.
 
 All operations are pure and work on plain Python ints, so arbitrary-precision
 inputs are handled throughout.  The batch sieves return immutable tables that
@@ -255,24 +255,6 @@ def v(n: int, budget: int | None = None) -> int:
     return sum(p + iota(e) for p, e in factorize(n, budget))
 
 
-def alladi_erdos_A(n: int, budget: int | None = None) -> int:
-    """Sum of p*e over the factorization of n; A(1) = 0."""
-    return sum(p * e for p, e in factorize(n, budget))
-
-
-def oeis_F(n: int, budget: int | None = None) -> int:
-    """Sum of (p + e) over the factorization of n (OEIS A008474); F(1) = 0."""
-    return sum(p + e for p, e in factorize(n, budget))
-
-
-def oeis_G(n: int, budget: int | None = None) -> int:
-    """Product of p*e over the factorization of n (OEIS A000026); G(1) = 1."""
-    out = 1
-    for p, e in factorize(n, budget):
-        out *= p * e
-    return out
-
-
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
     return _primes_upto(limit).tolist()
@@ -410,7 +392,7 @@ def _strike_sparse(found: np.ndarray, acc: np.ndarray, a: int, step: int,
         level += 1
 
 
-def v_progression(a: int, step: int, count: int) -> np.ndarray:
+def _sieve_progression(a: int, step: int, count: int) -> np.ndarray:
     """v(a + s*step) for every s in [0, count), as int64, indexed by s.
 
     One sieve over the progression with the primes up to the square root of
@@ -422,15 +404,7 @@ def v_progression(a: int, step: int, count: int) -> np.ndarray:
     the many primes that hit few terms are struck a slice of the table at
     a time, as array operations.  Every term must fit in int64.
     """
-    if a < 1 or step < 1:
-        raise DomainError(f"progression start and step must be >= 1, got {a}, {step}")
-    if count < 1:
-        return np.zeros(0, dtype=np.int64)
-    if count == 1:
-        step = 1  # a single term does not depend on the step, which may not fit int64
     last = a + (count - 1) * step
-    if last > INT64_MAX:
-        raise DomainError(f"progression term {last} does not fit in int64")
     primes = _primes_upto(math.isqrt(last))
     found = np.ones(count, dtype=np.int64)  # product of the prime powers found
     acc = np.zeros(count, dtype=np.int64)
@@ -455,13 +429,53 @@ def v_progression(a: int, step: int, count: int) -> np.ndarray:
     return acc
 
 
-def v_segment(lo: int, hi: int) -> np.ndarray:
-    """v(n) for every n in [lo, hi] as int64, indexed by n - lo.
+# One progression sieve and per-term v break even where terms * bits**4 is
+# about this many times sqrt(last): timed from 10^10 to 10^15, where the
+# choice is worth seconds per block.  Below that either way takes ms.
+_SIEVE_BREAK_EVEN = 500
 
-    The progression sieve with step 1: the whole block costs
-    O((hi-lo) log log hi) strided multiplies and one division per n instead
-    of one factorization per n.
-    """
+
+def _sieve_pays(terms: int, last: int) -> bool:
+    """Whether one progression sieve up to ``last`` costs less than ``terms``
+    single factorizations: the sieve reads every prime below sqrt(last), so
+    its cost grows like sqrt(last)/bits, and one v only like bits**3, bits
+    being the bit length of last.  The constant was timed on a sieve that
+    took a Python step per prime, several times slower than this one."""
+    return terms * last.bit_length() ** 4 >= _SIEVE_BREAK_EVEN * math.isqrt(last)
+
+
+def _v_terms(a: int, step: int, x: np.ndarray | range) -> np.ndarray:
+    """v(a + s*step) for each offset s of x, as int64: one sieve over the
+    span of x where _sieve_pays for the terms read and the largest of them,
+    else one factorization per term.  x is a nonempty int64 array of the
+    offsets read, or range(count) for all of [0, count), which needs no
+    gather.  Every term must fit in int64."""
+    whole = isinstance(x, range)
+    first, last = (x[0], x[-1]) if whole else (int(x.min()), int(x.max()))
+    if _sieve_pays(len(x), a + step * last):
+        vals = _sieve_progression(a + step * first, step, last - first + 1)
+        return vals if whole else vals[x - first]
+    return np.array([v(a + step * s) for s in (x if whole else x.tolist())], dtype=np.int64)
+
+
+def v_progression(a: int, step: int, count: int) -> np.ndarray:
+    """v(a + s*step) for every s in [0, count), as int64, indexed by s, from
+    one sieve where it pays (_v_terms).  Every term must fit in int64."""
+    if a < 1 or step < 1:
+        raise DomainError(f"progression start and step must be >= 1, got {a}, {step}")
+    if count < 1:
+        return np.zeros(0, dtype=np.int64)
+    if count == 1:
+        step = 1  # a single term does not depend on the step, which may not fit int64
+    last = a + (count - 1) * step
+    if last > INT64_MAX:
+        raise DomainError(f"progression term {last} does not fit in int64")
+    return _v_terms(a, step, range(count))
+
+
+def v_segment(lo: int, hi: int) -> np.ndarray:
+    """v(n) for every n in [lo, hi] as int64, indexed by n - lo: the
+    progression with step 1."""
     if lo < 1:
         raise DomainError(f"segment start must be >= 1, got {lo}")
     return v_progression(lo, 1, hi - lo + 1)

@@ -15,7 +15,6 @@ in base 16, 3469 in base 100) meet it with equality.
 """
 
 import itertools
-import math
 import os
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -24,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import INT64_MAX, _check_budget, prime_flags, v, v_progression, v_segment
+from .arith import INT64_MAX, _check_budget, _v_terms, prime_flags, v, v_segment
 from .digits import _check_base, length, reverse
 from .errors import DomainError
 
@@ -102,27 +101,6 @@ def _digit_reversal(j: int, base: int) -> np.ndarray:
     return out
 
 
-# One progression sieve and per-candidate v(r) break even where
-# terms * bits(last)**4 is about this many times sqrt(last): timed from 10^10
-# to 10^15, where the choice is worth seconds per block.  Below that either
-# way costs milliseconds.
-_SIEVE_BREAK_EVEN = 500
-
-
-def _sieve_pays(terms: int, last: int) -> bool:
-    """Whether one progression sieve up to ``last`` costs less than ``terms``
-    single factorizations.
-
-    The sieve reads every prime below sqrt(last), so its cost grows like
-    sqrt(last)/bits; one v(r) grows only like bits**3, bits being the bit
-    length of last.  Only the primes that divide the step or hit many terms
-    cost a Python step each; the rest cost a few array elements each (a
-    modular power and its lifts), so the constant was timed on a sieve
-    several times slower per prime than this one.
-    """
-    return terms * last.bit_length() ** 4 >= _SIEVE_BREAK_EVEN * math.isqrt(last)
-
-
 def _candidates(n, r, base: int, canonical: bool):
     """Whether n with reversal r is tested at all: b does not divide n, r
     differs from n, and in canonical mode r > n.  The predicate (as_hit)
@@ -146,10 +124,8 @@ def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
 
     The window is tiled into aligned blocks n = c*b**j + t; their reversals
     are exactly reverse(c) + s*b**len(c) with s = rev_j(t).  Only the kept
-    n that pass _candidates and _may_share_v are tested.  When enough of
-    them remain to pay for it, v of their reversals comes from one
-    progression sieve over the span of s they read; otherwise v(r) is
-    computed per candidate.
+    n that pass _candidates and _may_share_v are tested, with v of their
+    reversals from one _v_terms call on the s they read.
     """
     hi = lo + v_n.size - 1
     blocks = list(_aligned_blocks(lo, hi, base))
@@ -168,23 +144,14 @@ def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
         sel = np.flatnonzero(_candidates(n, r, base, canonical) & _may_share_v(r, vn))
         if not sel.size:
             continue
-        n, r, vn, s_read = n[sel], r[sel], vn[sel], s[t[sel]]
-        first, last = int(s_read.min()), int(s_read.max())
-        if _sieve_pays(sel.size, a + step * last):
-            vr = v_progression(a + step * first, step, last - first + 1)[s_read - first]
-        else:
-            vr = np.array([v(q) for q in r.tolist()], dtype=np.int64)
-        hit = np.flatnonzero(vn == vr)
+        hit = sel[vn[sel] == _v_terms(a, step, s[t[sel]])]
         out.extend(zip(n[hit].tolist(), r[hit].tolist(), vn[hit].tolist()))
     return out
 
 
 def _shard_hits(lo: int, hi: int, base: int, canonical: bool) -> list[tuple[int, int, int]]:
-    """Hits in [lo, hi] as (n, reversal, shared_v) tuples, ascending; v of
-    every n comes from one segment sieve where _sieve_pays, else one v(n) each."""
-    pays = _sieve_pays(hi - lo + 1, hi)
-    v_n = v_segment(lo, hi) if pays else np.array([v(n) for n in range(lo, hi + 1)], np.int64)
-    return _block_hits(lo, v_n, None, base, canonical)
+    """Hits in [lo, hi] as (n, reversal, shared_v) tuples, ascending."""
+    return _block_hits(lo, v_segment(lo, hi), None, base, canonical)
 
 
 def _prime_hit_spans(lo: int, hi: int, base: int) -> list[tuple[int, int]]:

@@ -11,12 +11,9 @@ from vpal import (
     DETERMINISTIC_BOUND,
     BudgetExceeded,
     DomainError,
-    alladi_erdos_A,
     factorize,
     iota,
     is_prime,
-    oeis_F,
-    oeis_G,
     primes_upto,
     spf_sieve,
     v,
@@ -282,27 +279,6 @@ class TestAdditiveFunctions:
         assert v(1) == 0
         assert v(1998) == 45  # 2 * 3^3 * 37 -> 2 + (3+3) + 37
 
-    def test_A_examples(self):
-        assert alladi_erdos_A(12) == 7
-        assert alladi_erdos_A(198) == 19
-        for p in (2, 13, 101, 4999):
-            assert alladi_erdos_A(p) == p
-        assert alladi_erdos_A(1) == 0
-
-    def test_F_examples(self):
-        assert oeis_F(198) == 20
-        assert oeis_F(12) == 8
-        for p in (2, 13, 101, 4999):
-            assert oeis_F(p) == p + 1
-        assert oeis_F(1) == 0
-
-    def test_G_examples(self):
-        assert oeis_G(12) == 12
-        assert oeis_G(198) == 132
-        for p in (2, 13, 101, 4999):
-            assert oeis_G(p) == p
-        assert oeis_G(1) == 1
-
     def test_v_against_oracle(self):
         rng = random.Random(4)
         for _ in range(300):
@@ -318,9 +294,6 @@ class TestAdditiveFunctions:
             if math.gcd(m, n) != 1:
                 continue
             assert v(m * n) == v(m) + v(n)
-            assert alladi_erdos_A(m * n) == alladi_erdos_A(m) + alladi_erdos_A(n)
-            assert oeis_F(m * n) == oeis_F(m) + oeis_F(n)
-            assert oeis_G(m * n) == oeis_G(m) * oeis_G(n)
             checked += 1
 
     def test_prime_power_bound(self):
@@ -340,8 +313,6 @@ class TestAdditiveFunctions:
         n = 1_000_000_007 * 1_000_000_009
         with pytest.raises(BudgetExceeded):
             v(n, budget=600)
-        with pytest.raises(BudgetExceeded):
-            oeis_G(n, budget=600)
 
 
 def empty_prime_table(monkeypatch):
@@ -481,19 +452,21 @@ class TestSieves:
             n = rng.randint(1, 10**5)
             assert v_with_table(n, spf) == v(n)
 
-    def test_v_segment_matches_pointwise(self):
+    def test_v_segment_matches_pointwise(self, monkeypatch):
         lo, hi = 999_900, 1_000_100
-        seg = v_segment(lo, hi)
-        for n in range(lo, hi + 1):
-            assert seg[n - lo] == v(n)
-        assert v_segment(1, 1).tolist() == [0]
+        expected = [v(n) for n in range(lo, hi + 1)]
+        # always sieved, then always factored term by term
+        for break_even in (0, 10**30):
+            monkeypatch.setattr(arith, "_SIEVE_BREAK_EVEN", break_even)
+            assert v_segment(lo, hi).tolist() == expected
+            assert v_segment(1, 1).tolist() == [0]
         assert len(v_segment(5, 4)) == 0
 
     def test_v_segment_rejects_zero_start(self):
         with pytest.raises(DomainError):
             v_segment(0, 10)
 
-    def test_v_progression_matches_pointwise(self):
+    def test_v_progression_matches_pointwise(self, monkeypatch):
         rng = random.Random(7)
         # steps sharing primes with the start (powers of 10, 2 and 3),
         # counts below the sieving primes, and single terms
@@ -504,10 +477,30 @@ class TestSieves:
             if rng.random() < 0.3:
                 a *= rng.choice((2, 4, 8, 3, 9, 27, 5, 10, 100))
             count = rng.choice((1, 2, 3, 7, 64, 65, rng.randint(1, 2000)))
-            got = v_progression(a, step, count)
-            assert got.dtype == np.int64
-            assert got.tolist() == [v(a + s * step) for s in range(count)], (
-                a, step, count)
+            expected = [v(a + s * step) for s in range(count)]
+            # always sieved, then always factored term by term
+            for break_even in (0, 10**30):
+                monkeypatch.setattr(arith, "_SIEVE_BREAK_EVEN", break_even)
+                got = v_progression(a, step, count)
+                assert got.dtype == np.int64
+                assert got.tolist() == expected, (a, step, count, break_even)
+
+    def test_short_progressions_high_up_build_no_prime_table(self, monkeypatch):
+        # a sieve would read every prime below the root of the last term,
+        # some 2 million of them here; factoring needs only trial division
+        limits = []
+        original = arith._primes_upto
+
+        def recorded(limit):
+            limits.append(limit)
+            return original(limit)
+
+        monkeypatch.setattr(arith, "_primes_upto", recorded)
+        a = 10**15 + 37
+        assert v_progression(a, 10**30, 1).tolist() == [oracle_v(a)]
+        lo = 10**15
+        assert v_segment(lo, lo + 3).tolist() == [oracle_v(n) for n in range(lo, lo + 4)]
+        assert all(limit <= arith._SMALL_PRIME_LIMIT for limit in limits), limits
 
     def test_v_progression_edges(self):
         assert v_progression(1, 10, 1).tolist() == [0]
@@ -637,6 +630,8 @@ class TestProgressionStrikes:
 
     @pytest.mark.parametrize("a", [999_999_999_989, 1009**2 * 997 * 991, 2**39, 3**25])
     def test_single_term_with_a_huge_step(self, monkeypatch, a):
+        # one term never pays for the sieve, so force it
+        monkeypatch.setattr(arith, "_SIEVE_BREAK_EVEN", 0)
         seen = _strikes(monkeypatch)
         assert v_progression(a, 10**30, 1).tolist() == [oracle_v(a)]
         assert seen["sparse"]

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import oracle_is_v_palindrome, oracle_sieve, oracle_v, oracle_v_upto
+from vpal import arith
 from vpal import palindromes as palindromes_mod
 from vpal import (
     DomainError,
@@ -213,9 +214,9 @@ class TestEnumerate:
     def test_sieve_choice_does_not_change_hits(self, monkeypatch, lo, hi, base, mode):
         # every shard and block sieved, then every n and reversal factored
         # on its own
-        monkeypatch.setattr(palindromes_mod, "_SIEVE_BREAK_EVEN", 0)
+        monkeypatch.setattr(arith, "_SIEVE_BREAK_EVEN", 0)
         sieved = list(enumerate_v_palindromes(lo, hi, base=base, mode=mode))
-        monkeypatch.setattr(palindromes_mod, "_SIEVE_BREAK_EVEN", 10**30)
+        monkeypatch.setattr(arith, "_SIEVE_BREAK_EVEN", 10**30)
         factored = list(enumerate_v_palindromes(lo, hi, base=base, mode=mode))
         assert sieved == factored
         singles = [as_hit(n, base) for n in range(lo, hi + 1)]
@@ -223,7 +224,7 @@ class TestEnumerate:
                           and (mode == "all" or h.n < h.reversal)]
 
     def test_sieve_pays_for_long_blocks_only(self):
-        pays = palindromes_mod._sieve_pays
+        pays = arith._sieve_pays
         assert not pays(1, 10**6)
         assert not pays(1, 10**17)
         assert pays(10**4, 10**6)
@@ -248,9 +249,9 @@ class TestEnumerate:
             assert [base**j for _, j in blocks] == [power] * (width // power)
 
     def test_one_digit_fixed_points_skip_the_sieve(self, monkeypatch):
-        def no_sieve(lo, hi):
-            raise AssertionError(f"sieved [{lo}, {hi}]")
-        monkeypatch.setattr(palindromes_mod, "v_segment", no_sieve)
+        def no_sieve(a, step, count):
+            raise AssertionError(f"sieved {count} terms from {a} by {step}")
+        monkeypatch.setattr(arith, "_sieve_progression", no_sieve)
         assert list(enumerate_v_palindromes(1, 65536, base=100_000)) == []
         assert list(enumerate_v_palindromes(1, 9)) == []
         # nor does a window too narrow for the sieve to pay, high up

@@ -11,7 +11,6 @@ from vpal import (
     from_digits,
     is_v_palindrome,
     length,
-    oeis_G,
     reverse,
     to_digits,
     v,
@@ -54,13 +53,6 @@ def test_multi_factor_length_bound(ns):
 def test_v_additive_on_coprime_pairs(m, n):
     assume(math.gcd(m, n) == 1)
     assert v(m * n) == v(m) + v(n)
-
-
-@settings(max_examples=60)
-@given(st.integers(min_value=1, max_value=10**4), st.integers(min_value=1, max_value=10**4))
-def test_G_multiplicative_on_coprime_pairs(m, n):
-    assume(math.gcd(m, n) == 1)
-    assert oeis_G(m * n) == oeis_G(m) * oeis_G(n)
 
 
 @settings(max_examples=60)
