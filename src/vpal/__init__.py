@@ -31,14 +31,12 @@ from .arith import (
     v_progression,
     v_segment,
 )
-from .digits import DigitVector, digit, from_digits, length, reverse, to_digits
+from .digits import length, reverse
 from .errors import (
     BudgetExceeded,
     CheckpointCorrupt,
-    DigitOutOfRange,
     DomainError,
     HeterogeneousRecords,
-    IndexOutOfRange,
 )
 from .heuristic import (
     DEFAULT_C,
@@ -66,12 +64,9 @@ __all__ = [
     "DEFAULT_C",
     "DEFAULT_ROUNDS",
     "DETERMINISTIC_BOUND",
-    "DigitOutOfRange",
-    "DigitVector",
     "DomainError",
     "HeterogeneousRecords",
     "HeuristicReport",
-    "IndexOutOfRange",
     "PrimalityVerdict",
     "VPalindromeHit",
     "VerificationReport",
@@ -79,14 +74,12 @@ __all__ = [
     "as_hit",
     "check_anchor",
     "converse_identity",
-    "digit",
     "enumerate_v_palindromes",
     "envelope_term",
     "expected_count",
     "factorize",
     "family_nines",
     "family_repeat18",
-    "from_digits",
     "iota",
     "is_prime",
     "is_v_palindrome",
@@ -96,7 +89,6 @@ __all__ = [
     "reverse",
     "search_anchors",
     "spf_sieve",
-    "to_digits",
     "v",
     "v_progression",
     "v_segment",

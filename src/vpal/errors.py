@@ -5,14 +5,6 @@ class DomainError(ValueError):
     """An argument lies outside an operation's domain."""
 
 
-class DigitOutOfRange(DomainError):
-    """A digit value does not fit the requested base."""
-
-
-class IndexOutOfRange(DomainError):
-    """A digit index is at or beyond the number's length."""
-
-
 class BudgetExceeded(RuntimeError):
     """Factorization ran out of its operation budget.
 

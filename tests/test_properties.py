@@ -8,20 +8,13 @@ from hypothesis import strategies as st
 from vpal import (
     BudgetExceeded,
     factorize,
-    from_digits,
     is_v_palindrome,
     length,
     reverse,
-    to_digits,
     v,
 )
 
 bases = st.integers(min_value=2, max_value=36)
-
-
-@given(st.integers(min_value=0, max_value=10**18), bases)
-def test_digit_round_trip(n, base):
-    assert from_digits(to_digits(n, base)) == n
 
 
 @given(st.integers(min_value=1, max_value=10**18), bases)
