@@ -17,6 +17,14 @@ r -> 10*r mod ell, shows which members ell divides.  A struck member gets
 the verdict "composite" with certainty 0, the verdict is_prime gives it, so
 records and checkpoints do not depend on the sieve; only the survivors
 reach is_prime.
+
+A surviving larger member p = 5*10**m - 1 gets one Miller-Rabin round and
+then the Lucas N+1 proof, since p + 1 = 2**m * 5**(m + 1) is fully
+factored.  A proven p keeps the label "probable_prime" with the round
+count as certainty: a prime passes every round, so that is the verdict
+the rounds would give, and records and checkpoints stay as they were.
+Only an unproven p runs the rounds.  The smaller member q keeps its
+rounds, because neither q + 1 nor q - 1 is fully factored.
 """
 
 import json
@@ -30,6 +38,7 @@ from .arith import (  # noqa: F401
     DEFAULT_ROUNDS,
     PrimalityVerdict,
     _check_rounds,
+    _lucas_proves_prime,
     _pow_mod,
     _primes_upto,
     is_prime,
@@ -102,8 +111,24 @@ def _check_pair(m: int, rounds: int, p_struck: bool,
     """The pair check at m, with a struck member judged composite untested."""
     p, q = anchor(m)
     _check_rounds(rounds)  # a struck member never reaches is_prime's check
-    return _anchor_result(m, _STRUCK if p_struck else is_prime(p, rounds),
+    return _anchor_result(m, _STRUCK if p_struck else _p_verdict(p, rounds),
                           _STRUCK if q_struck else is_prime(q, rounds))
+
+
+def _p_verdict(p: int, rounds: int) -> PrimalityVerdict:
+    """is_prime(p, rounds) for a larger member p = 5*10**m - 1, from one
+    Miller-Rabin round and the N+1 proof on p + 1 = 2**m * 5**(m + 1).
+
+    The round is the first of is_prime(p, rounds), since the bases come
+    from random.Random(p).  A proven p passes every further round, so its
+    verdict is the one the rounds give; an unproven one gets the rounds.
+    """
+    first = is_prime(p, 1)
+    if first.status != "probable_prime" or rounds == 1:
+        return first
+    if _lucas_proves_prime(p, (2, 5)):
+        return PrimalityVerdict("probable_prime", rounds)
+    return is_prime(p, rounds)
 
 
 def _anchor_result(m: int, p_verdict: PrimalityVerdict,
@@ -185,7 +210,7 @@ def _result_from_record(rec: dict, rounds: int) -> AnchorResult:
     m = rec["m"]
     if type(m) is not int or m < 1:
         raise ValueError(f"anchor index must be an integer >= 1, got {m!r}")
-    if rec["rounds"] != rounds:
+    if type(rec["rounds"]) is not int or rec["rounds"] != rounds:
         raise ValueError(f"record rounds {rec['rounds']!r} differ from the header's")
     return _anchor_result(m, _verdict_from_record(rec, "p", rounds),
                           _verdict_from_record(rec, "q", rounds))
@@ -214,7 +239,7 @@ def _read_checkpoint(path: str, rounds: int) -> dict[int, AnchorResult]:
         raise CheckpointCorrupt(
             f"{path}: unsupported checkpoint version {header.get('version')!r}"
         )
-    if header.get("rounds") != rounds:
+    if type(header.get("rounds")) is not int or header["rounds"] != rounds:
         raise CheckpointCorrupt(
             f"{path}: checkpoint was written with rounds={header.get('rounds')!r}, "
             f"requested rounds={rounds}; refusing to mix verdicts"

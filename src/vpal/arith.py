@@ -121,7 +121,10 @@ def is_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     """Primality verdict for n, deterministic below DETERMINISTIC_BOUND.
 
     Above the bound the test runs ``rounds`` Miller-Rabin rounds and labels
-    a surviving n "probable_prime" rather than claiming certainty.
+    a surviving n "probable_prime" rather than claiming certainty.  The
+    anchor search reaches the same verdict for the larger member
+    5*10**m - 1 through one round and the N+1 proof (_lucas_proves_prime),
+    and keeps this label and certainty for a proven member.
     """
     if n < 0:
         raise DomainError(f"primality is defined for nonnegative integers, got {n}")
@@ -143,6 +146,60 @@ def is_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
         if not _strong_probable_prime(n, rng.randrange(2, n - 1)):
             return PrimalityVerdict("composite")
     return PrimalityVerdict("probable_prime", certainty=rounds)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, t = a % n, 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos % 2 and n % 8 in (3, 5):
+            t = -t
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
+def _lucas(p: int, q: int, k: int, n: int) -> tuple[int, int, int]:
+    """(U_k, V_k, q**k) mod n of the Lucas sequences of (p, q), for k >= 1
+    and odd n, by the binary ladder k -> 2k -> 2k + 1."""
+    d = (p * p - 4 * q) % n
+    u, v, qk = 1, p % n, q % n
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":  # halve mod n: make the sum even by adding n
+            u, v = (p * u + v) % n, (d * u + p * v) % n
+            u, v, qk = (u + n * (u & 1)) >> 1, (v + n * (v & 1)) >> 1, qk * q % n
+    return u, v, qk
+
+
+_LUCAS_PAIRS = tuple((p, q) for q in (-1, 2, -2, 3, -3, 5, -5, 7, -7)
+                     for p in range(1, 6))
+
+
+def _lucas_proves_prime(n: int, primes: tuple[int, ...]) -> bool:
+    """True only if the Lucas N+1 test proves n prime (False: not proved);
+    primes, the distinct primes of n + 1, must factor it fully (odd n > 1).
+
+    With gcd(n, 2QD) = 1, n | U_{n+1} and gcd(U_{(n+1)/ell}, n) = 1 for each
+    ell, every prime r | n has rank n + 1, which divides r - (D/r), so r = n
+    (Brillhart, Lehmer and Selfridge 1975).  A prime n needs (D/n) = -1 for
+    n | U_{n+1} and (Q/n) = -1 for n not to divide U_{(n+1)/2}.  One ladder
+    runs to k = (n+1)/rad; U at j*k is U_k * U_j(V_k, Q**k).
+    """
+    rad = math.prod(primes)
+    for p, q in _LUCAS_PAIRS:
+        d = p * p - 4 * q
+        if math.gcd(n, 2 * q * d) != 1 or _jacobi(d, n) != -1 or _jacobi(q, n) != -1:
+            continue
+        u, v, qk = _lucas(p, q, (n + 1) // rad, n)
+        if u * _lucas(v, qk, rad, n)[0] % n:
+            return False  # so n is composite
+        if all(math.gcd(u * _lucas(v, qk, rad // ell, n)[0], n) == 1 for ell in primes):
+            return True
+    return False
 
 
 def _brent_rho(m: int, left: float) -> tuple[int, float] | None:

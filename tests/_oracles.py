@@ -5,6 +5,10 @@ shares no code with the package, so expected values come from a second
 route.
 """
 
+import math
+
+import numpy as np
+
 
 def trial_factorize(n: int) -> list[tuple[int, int]]:
     assert n >= 1
@@ -83,3 +87,17 @@ def oracle_v_upto(limit: int) -> list[int]:
                 table[m] += share
             q, share = q * p, 2 if q == p else 1
     return table
+
+
+def block_trial_is_prime(n: int) -> bool:
+    """trial_is_prime for n < 2**62: every odd d <= isqrt(n) is tried, a
+    block of them at a time as one numpy array."""
+    assert n < 2**62
+    if n < 4 or n % 2 == 0:
+        return n in (2, 3)
+    root = math.isqrt(n)
+    for lo in range(3, root + 1, 1 << 21):
+        d = np.arange(lo, min(lo + (1 << 21), root + 1), 2, dtype=np.int64)
+        if (n % d == 0).any():
+            return False
+    return True

@@ -19,6 +19,7 @@ from vpal import (
     verify_characterization,
 )
 from vpal import anchors as anchors_mod
+from vpal import arith as arith_mod
 from vpal import palindromes as palindromes_mod
 from vpal.arith import PrimalityVerdict, is_prime
 
@@ -293,11 +294,36 @@ class TestIndexSieve:
             check_anchor(1000, rounds=0)
 
 
-def _tampered(tmp_path, **changes):
+class TestLargerMemberVerdict:
+    def test_proven_member_costs_one_round(self, monkeypatch):
+        p = anchor(210)[0]
+        expected = is_prime(p)
+        assert expected == PrimalityVerdict("probable_prime", 64)
+        calls = []
+        real = arith_mod._strong_probable_prime
+        monkeypatch.setattr(arith_mod, "_strong_probable_prime",
+                            lambda n, base: calls.append(base) or real(n, base))
+        assert anchors_mod._p_verdict(p, 64) == expected
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", [210, 211])
+    @pytest.mark.parametrize("rounds", [1, 2, 64])
+    def test_unproven_member_gets_the_rounds(self, monkeypatch, m, rounds):
+        p = anchor(m)[0]
+        monkeypatch.setattr(anchors_mod, "_lucas_proves_prime", lambda n, primes: False)
+        assert anchors_mod._p_verdict(p, rounds) == is_prime(p, rounds)
+
+    def test_search_without_the_proof_equals_is_prime(self, monkeypatch):
+        monkeypatch.setattr(anchors_mod, "_lucas_proves_prime", lambda n, primes: False)
+        results = search_anchors(200, 300)
+        assert _verdicts(results) == _member_verdicts(400)[199:300]
+
+
+def _tampered(tmp_path, search_rounds=64, **changes):
     """A valid checkpoint for m in [1, 4] plus a copy of its m=4 record
     with ``changes`` applied, appended last."""
     path = tmp_path / "search.ckpt"
-    search_anchors(1, 4, checkpoint_path=str(path))
+    search_anchors(1, 4, rounds=search_rounds, checkpoint_path=str(path))
     rec = json.loads(path.read_text().splitlines()[-1])
     rec.update(changes)
     with open(path, "a") as fh:
@@ -325,6 +351,25 @@ class TestCheckpointValidation:
         path = _tampered(tmp_path, m=5, rounds=8)
         with pytest.raises(CheckpointCorrupt):
             search_anchors(1, 5, checkpoint_path=path)
+
+    @pytest.mark.parametrize("rounds,bad", [(64, 64.0), (1, True)])
+    def test_record_rounds_must_be_an_int(self, tmp_path, rounds, bad):
+        path = _tampered(tmp_path, search_rounds=rounds, m=5, rounds=bad)
+        with pytest.raises(CheckpointCorrupt, match="line 6"):
+            search_anchors(1, 5, rounds=rounds, checkpoint_path=path)
+
+    @pytest.mark.parametrize("rounds,bad", [(64, 64.0), (1, True)])
+    def test_header_rounds_must_be_an_int(self, tmp_path, rounds, bad):
+        path = tmp_path / "search.ckpt"
+        search_anchors(1, 4, rounds=rounds, checkpoint_path=str(path))
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["rounds"] = bad
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        before = path.read_bytes()
+        with pytest.raises(CheckpointCorrupt, match="rounds="):
+            search_anchors(1, 5, rounds=rounds, checkpoint_path=str(path))
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("m", ["5", 5.0, True, None, 0, -3])
     def test_index_must_be_positive_int(self, tmp_path, m):

@@ -6,7 +6,13 @@ import threading
 import numpy as np
 import pytest
 
-from _oracles import oracle_sieve, oracle_v, trial_factorize, trial_is_prime
+from _oracles import (
+    block_trial_is_prime,
+    oracle_sieve,
+    oracle_v,
+    trial_factorize,
+    trial_is_prime,
+)
 from vpal import (
     DETERMINISTIC_BOUND,
     BudgetExceeded,
@@ -260,6 +266,76 @@ class TestIsPrime:
             is_prime(-1)
         with pytest.raises(DomainError):
             is_prime(7, rounds=0)
+
+
+def _n_plus_1_primes(n):
+    """The distinct primes of n + 1 for n + 1 = 2**a * 5**b."""
+    return tuple(ell for ell in (2, 5) if (n + 1) % ell == 0)
+
+
+# Every odd n = 2**a * 5**b - 1 with 3 <= n < 10**15.
+_SMOOTH_MINUS_ONE = sorted(
+    n for n in {2**a * 5**b - 1 for a in range(50) for b in range(22)}
+    if 3 <= n < 10**15 and n % 2)
+
+
+class TestLucasProof:
+    def test_agrees_with_is_prime_on_the_anchors(self):
+        proved = []
+        for m in range(1, 401):
+            p = 5 * 10**m - 1
+            if not is_prime(p, 1).non_composite:
+                continue
+            verdict = arith._lucas_proves_prime(p, (2, 5))
+            assert verdict == is_prime(p).non_composite, m
+            proved += [m] * verdict
+        assert proved == [2, 3, 4, 6, 14, 54, 210, 390]
+
+    def test_never_proves_a_composite(self):
+        proved = [n for n in _SMOOTH_MINUS_ONE
+                  if arith._lucas_proves_prime(n, _n_plus_1_primes(n))]
+        assert len(proved) > 50
+        for n in proved:
+            assert block_trial_is_prime(n), n
+
+    def test_block_oracle_matches_trial_division(self):
+        for n in _SMOOTH_MINUS_ONE[:200] + list(range(10**6, 10**6 + 400)):
+            assert block_trial_is_prime(n) == trial_is_prime(n), n
+
+    def test_verdict_does_not_depend_on_the_pair(self, monkeypatch):
+        ns = [5 * 10**m - 1 for m in range(2, 60)]
+        ns += [n for n in _SMOOTH_MINUS_ONE if n < 10**8]
+        expected = {n: arith._lucas_proves_prime(n, _n_plus_1_primes(n)) for n in ns}
+        assert sum(expected.values()) > 20
+        monkeypatch.setattr(arith, "_LUCAS_PAIRS", arith._LUCAS_PAIRS[::-1])
+        for n in ns:
+            assert arith._lucas_proves_prime(n, _n_plus_1_primes(n)) == expected[n]
+        # one pair alone proves only what the whole list proves, and the
+        # primes are proved by more than one pair
+        provers = {n: 0 for n in ns}
+        for pair in arith._LUCAS_PAIRS:
+            monkeypatch.setattr(arith, "_LUCAS_PAIRS", (pair,))
+            for n in ns:
+                if arith._lucas_proves_prime(n, _n_plus_1_primes(n)):
+                    assert expected[n], (n, pair)
+                    provers[n] += 1
+        assert all(provers[n] >= 2 for n in ns if expected[n])
+
+    def test_lucas_ladder_matches_the_recurrence(self):
+        n = 1_000_003
+        for p, q in ((1, -1), (3, 2), (5, -3), (2, -2)):
+            u0, u1, v0, v1 = 0, 1, 2, p
+            for k in range(1, 70):
+                u0, u1, v0, v1 = u1, p * u1 - q * u0, v1, p * v1 - q * v0
+                assert arith._lucas(p, q, k, n) == (u0 % n, v0 % n, pow(q, k, n))
+
+    def test_jacobi_matches_euler_criterion(self):
+        for n in (3, 7, 101, 4999):
+            for a in range(-20, 40):
+                euler = pow(a, (n - 1) // 2, n)
+                assert arith._jacobi(a, n) == (-1 if euler == n - 1 else euler)
+        assert arith._jacobi(2, 15) == 1  # (2/3)(2/5) for a composite n
+        assert arith._jacobi(5, 15) == 0
 
 
 class TestIota:
