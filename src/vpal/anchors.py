@@ -235,9 +235,10 @@ def _read_checkpoint(path: str, rounds: int) -> dict[int, AnchorResult]:
         or header.get("format") != _CHECKPOINT_FORMAT
     ):
         raise CheckpointCorrupt(f"{path}: not an anchor-search checkpoint")
-    if header.get("version") != _CHECKPOINT_VERSION:
+    version = header.get("version")
+    if type(version) is not int or version != _CHECKPOINT_VERSION:
         raise CheckpointCorrupt(
-            f"{path}: unsupported checkpoint version {header.get('version')!r}"
+            f"{path}: unsupported checkpoint version {version!r}"
         )
     if type(header.get("rounds")) is not int or header["rounds"] != rounds:
         raise CheckpointCorrupt(

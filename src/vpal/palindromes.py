@@ -124,8 +124,13 @@ def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
 
     The window is tiled into aligned blocks n = c*b**j + t; their reversals
     are exactly reverse(c) + s*b**len(c) with s = rev_j(t).  Only the kept
-    n that pass _candidates and _may_share_v are tested, with v of their
-    reversals from one _v_terms call on the s they read.
+    n that pass _candidates and _may_share_v are tested.  When keep is None,
+    v_n must be v of every n in the window, and a block whose tested
+    reversals all lie in the window reads their v from v_n (in a shard of
+    whole digit lengths, every block does).  Other blocks get v of their
+    reversals from one _v_terms call on the s they read.  The prime
+    scanner's v_n is v(n) only at its primes, so it passes keep and never
+    reads a reversal from v_n.
     """
     hi = lo + v_n.size - 1
     blocks = list(_aligned_blocks(lo, hi, base))
@@ -144,7 +149,11 @@ def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
         sel = np.flatnonzero(_candidates(n, r, base, canonical) & _may_share_v(r, vn))
         if not sel.size:
             continue
-        hit = sel[vn[sel] == _v_terms(a, step, s[t[sel]])]
+        if keep is None and lo <= (rs := r[sel]).min() and rs.max() <= hi:
+            vr = v_n[rs - lo]
+        else:
+            vr = _v_terms(a, step, s[t[sel]])
+        hit = sel[vn[sel] == vr]
         out.extend(zip(n[hit].tolist(), r[hit].tolist(), vn[hit].tolist()))
     return out
 

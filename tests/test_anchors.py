@@ -2,6 +2,7 @@ import functools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from _oracles import oracle_sieve, trial_factorize, trial_is_prime
@@ -21,7 +22,7 @@ from vpal import (
 from vpal import anchors as anchors_mod
 from vpal import arith as arith_mod
 from vpal import palindromes as palindromes_mod
-from vpal.arith import PrimalityVerdict, is_prime
+from vpal.arith import PrimalityVerdict, is_prime, prime_flags
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,6 +332,20 @@ def _tampered(tmp_path, search_rounds=64, **changes):
     return str(path)
 
 
+def _header_tampered(tmp_path, search_rounds, **changes):
+    """A valid checkpoint for m in [1, 4] whose header has ``changes``
+    applied; a change to None removes the key."""
+    path = tmp_path / "search.ckpt"
+    search_anchors(1, 4, rounds=search_rounds, checkpoint_path=str(path))
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header["version"] == 1
+    header.update(changes)
+    header = {k: v for k, v in header.items() if v is not None}
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    return path
+
+
 class TestCheckpointValidation:
     def test_unknown_status_refuses(self, tmp_path):
         # "bogus" is not composite, so unchecked it made m=5 a candidate
@@ -360,15 +375,20 @@ class TestCheckpointValidation:
 
     @pytest.mark.parametrize("rounds,bad", [(64, 64.0), (1, True)])
     def test_header_rounds_must_be_an_int(self, tmp_path, rounds, bad):
-        path = tmp_path / "search.ckpt"
-        search_anchors(1, 4, rounds=rounds, checkpoint_path=str(path))
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["rounds"] = bad
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        path = _header_tampered(tmp_path, rounds, rounds=bad)
         before = path.read_bytes()
         with pytest.raises(CheckpointCorrupt, match="rounds="):
             search_anchors(1, 5, rounds=rounds, checkpoint_path=str(path))
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+    def test_header_version_must_be_an_int(self, tmp_path, bad):
+        # True == 1 == 1.0, so a comparison by value accepted two of these;
+        # None drops the key
+        path = _header_tampered(tmp_path, 64, version=bad)
+        before = path.read_bytes()
+        with pytest.raises(CheckpointCorrupt, match="unsupported checkpoint version"):
+            search_anchors(1, 5, checkpoint_path=str(path))
         assert path.read_bytes() == before
 
     @pytest.mark.parametrize("m", ["5", 5.0, True, None, 0, -3])
@@ -463,6 +483,15 @@ class TestVerifyCharacterization:
             hits = palindromes_mod._prime_shard_hits(2, 10**4, base)
             assert hits == _prime_v_palindromes(10**4, base)
         assert palindromes_mod._prime_shard_hits(2, 10**4, 16) == [109, 1789]
+
+    def test_prime_window_never_reads_its_identity_array(self):
+        # the prime scanner's v_n is n, which is v(n) only at primes; here
+        # the reversal 214 of the hit 109 lies inside the window, so a
+        # lookup of v(214) in that array would read 214, not 109
+        lo, hi = 100, 299
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        hits = palindromes_mod._block_hits(lo, n, prime_flags(lo, hi), 16, False)
+        assert hits == [(109, 214, 109)]
 
     @pytest.mark.parametrize("base,bound,hits", [(16, 3 * 10**5, [109, 1789]),
                                                  (100, 10**5, [3469])])

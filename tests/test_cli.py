@@ -216,6 +216,20 @@ def test_anchors_checkpoint_corrupt_exit(tmp_path, capsys):
     assert "checkpoint" in err or "ck.jsonl" in err
 
 
+@pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+def test_anchors_checkpoint_version_not_an_int_exit(tmp_path, capsys, version):
+    path = tmp_path / "ck.jsonl"
+    data = ('{"record": "header", "format": "vpal-anchor-search", '
+            f'"version": {version}, "rounds": 64}}\n').encode()
+    path.write_bytes(data)
+    code, out, err = run_cli(
+        capsys, "anchors", "--from", "1", "--to", "3", "--checkpoint", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert "unsupported checkpoint version" in err
+    assert path.read_bytes() == data
+
+
 def test_anchors_non_utf8_checkpoint_exit(tmp_path, capsys):
     path = tmp_path / "ck.jsonl"
     data = (b'{"record": "header", "format": "vpal-anchor-search", "version": 1, '

@@ -193,13 +193,16 @@ class TestEnumerate:
     @pytest.mark.parametrize("lo,hi", [(99_990, 100_010), (65_530, 65_545),
                                        (999_990, 1_000_020), (1, 3000),
                                        (64_000, 67_000)])
-    @pytest.mark.parametrize("base", [10, 2, 3])
+    @pytest.mark.parametrize("base", [10, 2, 3, 16, 36])
     @pytest.mark.parametrize("mode", ["all", "canonical"])
     @pytest.mark.parametrize("shard", [palindromes_mod.SHARD_SIZE, 2**16, 7])
     def test_windows_match_singles(self, monkeypatch, lo, hi, base, mode, shard):
         # windows straddle decade edges, and the last two hold hits; a
         # 2**16 limit cuts base-10 shards at multiples of 60000, and a
-        # 7-wide shard puts shard edges inside the windows too
+        # 7-wide shard puts shard edges inside the windows too.  From 1,
+        # the first shard holds whole digit lengths, whose blocks read v of
+        # their reversals from the shard's own table, and a partial one,
+        # whose blocks sieve them
         monkeypatch.setattr(palindromes_mod, "SHARD_SIZE", shard)
         hits = list(enumerate_v_palindromes(lo, hi, base=base, mode=mode))
         singles = [as_hit(n, base) for n in range(lo, hi + 1)]
@@ -222,6 +225,27 @@ class TestEnumerate:
         singles = [as_hit(n, base) for n in range(lo, hi + 1)]
         assert sieved == [h for h in singles if h is not None
                           and (mode == "all" or h.n < h.reversal)]
+
+    def test_paper_range_reads_reversals_from_the_shard(self, monkeypatch):
+        # [10, 99999] is one shard of whole digit lengths, so every reversal
+        # lies in its v table: one sieve (its v_segment) and no per-term v
+        calls = {"sieve": 0, "v": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(arith, "_sieve_progression",
+                            counted("sieve", arith._sieve_progression))
+        monkeypatch.setattr(arith, "v", counted("v", arith.v))
+        hits = list(enumerate_v_palindromes(1, 99999, mode="canonical"))
+        assert calls == {"sieve": 1, "v": 0}
+        assert len(hits) == 46
+        assert [h.n for h in hits[:4]] == [18, 198, 576, 819]
+        assert hits[-1] == VPalindromeHit(97999, 99979, 221, 10)
+        assert hits == [as_hit(h.n) for h in hits]
 
     def test_sieve_pays_for_long_blocks_only(self):
         pays = arith._sieve_pays
