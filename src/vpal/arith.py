@@ -41,6 +41,87 @@ class PrimalityVerdict:
         return self.status != "composite"
 
 
+INT64_MAX = np.iinfo(np.int64).max
+_PRIME_SLICE = 1 << 12
+# A power that hits this many terms gets a strided slice (a Python step),
+# the rest of its level one index array.  Over the sieve calls of verify
+# --bound 10^7 and enumerate 1..150000 (2-vCPU machine), 128 to 512 took
+# within 3% of each other and 64 took 8% more; that verify's 49 prime_flags
+# windows took 6% less at 128, 13% more at 512 and 28% more at 1024.
+_DENSE_HITS = 256
+# Fewer sparse powers than this (at least 1) in a level get slices too, and
+# fewer live powers are lifted as ints.  On those calls 8 to 32 took within
+# 1%, 1 took 19-25% more and 64 or 128 up to 15% more; on 3,000 terms at
+# 10^12, 8 and 16 took 15% less than 32 and 128 took 36% more.
+_SPARSE_MIN = 32
+
+
+def _pow_mod(base, e, mods: np.ndarray) -> np.ndarray:
+    """base**e mod each of mods, elementwise, as int64, by square-and-multiply.
+
+    base and e are each an int or an int64 array matching mods; e >= 0.
+    Every modulus must be at most isqrt(INT64_MAX) = 3,037,000,499, so that
+    the product of two residues fits in int64.
+    """
+    top = e if isinstance(e, int) else int(e.max(initial=0))
+    acc = np.ones_like(mods)
+    b = base % mods
+    for i in range(top.bit_length()):
+        if i:
+            b = b * b % mods
+        acc = np.where(e >> i & 1, acc * b % mods, acc)
+    return acc
+
+
+def _strikes(a: int, step: int, count: int, primes: np.ndarray, last: int):
+    """The strike plan of a + s*step, s in [0, count), for the primes of
+    ``primes`` that do not divide step: the terms that p, and each higher
+    power p**k <= last, divide.  Yields (k, dense, batch) per level k of
+    each slice of _PRIME_SLICE primes.  dense iterates once over (p, s, q),
+    q = p**k dividing the terms s::q, for the powers that hit _DENSE_HITS or
+    more terms, or for all when fewer than _SPARSE_MIN hit less.  batch is None,
+    or (idx, p, hits) for the others: idx indexes their hits, p by p (a term
+    once per prime), and np.repeat(p, hits) is the prime of each index.
+
+    The first term p divides is s = -a/step mod p, with step**(p-2) for the
+    inverse.  A start s mod q = p**k lifts to q*p by Hensel: the terms
+    s + q*u with p**(k+1) dividing them have u = -((a + s*step)/q)/step
+    mod p.  Every product stays at or below last, so all of it is int64.
+    """
+    for i in range(0, primes.size, _PRIME_SLICE):
+        p = primes[i : i + _PRIME_SLICE]
+        p = p[step % p != 0]
+        inv = _pow_mod(step, p - 2, p) if step > 1 else np.ones_like(p)
+        # one column per prime: p, the first term its power q divides, q, 1/step
+        rows, k = np.array([p, -a % p * inv % p, p, inv]), 1
+        while (rows := rows.compress(rows[1] < count, axis=1)).shape[1] >= _SPARSE_MIN:
+            p, s, q, inv = rows
+            hits = (count - 1 - s) // q + 1
+            sparse = hits < _DENSE_HITS
+            if np.count_nonzero(sparse) < _SPARSE_MIN:
+                yield k, zip(*rows[:3].tolist()), None
+            else:
+                # each hit's stride q, or at a row's first hit the jump to
+                # it from the row before, summed up into the hit indices
+                qs, ss, hits = q[sparse], s[sparse], hits[sparse]
+                idx = np.repeat(qs, hits)
+                idx[0] = ss[0]
+                idx[np.cumsum(hits[:-1])] = ss[1:] - ss[:-1] - (hits[:-1] - 1) * qs[:-1]
+                batch = np.cumsum(idx, out=idx), p[sparse], hits
+                yield k, zip(*rows[:3].compress(~sparse, axis=1).tolist()), batch
+            p, s, q, inv = rows = rows.compress(q <= last // p, axis=1)
+            s += q * ((p - (s * step + a) // q % p) * inv % p)
+            q *= p
+            k += 1
+        # under _SPARSE_MIN live powers all later ones are dense: lift as ints
+        rows = list(zip(*rows.tolist()))
+        while rows:
+            yield k, [row[:3] for row in rows], None
+            rows = [(p, s + q * ((p - (s * step + a) // q % p) * inv % p), q * p, inv)
+                    for p, s, q, inv in rows if q <= last // p]
+            rows, k = [row for row in rows if row[1] < count], k + 1
+
+
 _PRIME_SEGMENT = 1 << 18
 
 # (limit, all primes <= limit): the one prime table of the process.  It is
@@ -77,15 +158,21 @@ def _primes_upto(limit: int) -> np.ndarray:
 def prime_flags(lo: int, hi: int) -> np.ndarray:
     """Bool array over [lo, hi], True where lo + i is prime.
 
-    A segmented sieve of Eratosthenes: each p <= sqrt(hi) strikes its
-    multiples from max(p*p, the first multiple >= lo) on.
+    A segmented sieve of Eratosthenes: level 1 of the _strikes plan of lo,
+    lo + 1, ... strikes the multiples of each p <= sqrt(hi) in the window,
+    and the sieving primes that lie in it are set back.
     """
     if lo < 0:
         raise DomainError(f"segment start must be >= 0, got {lo}")
     flags = np.ones(max(hi - lo + 1, 0), dtype=bool)
     flags[: max(0, 2 - lo)] = False
-    for p in _primes_upto(math.isqrt(max(hi, 0))).tolist():
-        flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    primes = _primes_upto(math.isqrt(max(hi, 0)))
+    for _, dense, batch in _strikes(lo, 1, flags.size, primes, 0):  # no p**2
+        for _, s, q in dense:
+            flags[s::q] = False
+        if batch:
+            flags[batch[0]] = False
+    flags[primes[np.searchsorted(primes, lo) :] - lo] = True
     return flags
 
 
@@ -350,131 +437,44 @@ def v_with_table(n: int, spf: np.ndarray) -> int:
     return total
 
 
-INT64_MAX = np.iinfo(np.int64).max
-_PRIME_SLICE = 1 << 12
-# A prime whose powers hit at least this many terms (count // p) is struck
-# through strided slices, one Python step per power; the rest of a slice of
-# the prime table is struck all at once (_strike_sparse).  Timed over the
-# sieve calls of verify --bound 10^7 and enumerate 1..150000 and over blocks
-# near 10^8 and 10^12 (2-vCPU machine): 256 to 1024 were within the noise of
-# each other, while 32, 64 and 4096 slowed the verify calls by 10-40%.
-_DENSE_HITS = 256
-# Below this many sparse primes in a slice, the fixed cost of the
-# vectorised strike (a modular power, then some 30 array operations per
-# power of p) exceeds the strided steps it saves, and those primes are
-# looped too: timed on 100- to 30,000-term blocks, the two broke even
-# between 16 and 48 primes.
-_SPARSE_MIN = 32
+def _sieve_progression(a: int, step: int, count: int) -> np.ndarray:
+    """v(a + s*step) for every s in [0, count), as int64, indexed by s.
 
-
-def _pow_mod(base, e, mods: np.ndarray) -> np.ndarray:
-    """base**e mod each of mods, elementwise, as int64, by square-and-multiply.
-
-    base and e are each an int or an int64 array matching mods; e >= 0.
-    Every modulus must be at most isqrt(INT64_MAX) = 3,037,000,499, so that
-    the product of two residues fits in int64.
+    One sieve with the primes up to the root of its last term: each power
+    p**k is multiplied into the found part of the terms it divides (a
+    multiply costs a fraction of an int64 division) and adds its share of v.
+    The strikes come from _strikes, except for the primes of step (on
+    reversal blocks, the base's), struck here one strided slice per power.
+    Every term must fit in int64.
     """
-    top = e if isinstance(e, int) else int(e.max(initial=0))
-    acc = np.ones_like(mods)
-    b = base % mods
-    for i in range(top.bit_length()):
-        if i:
-            b = b * b % mods
-        acc = np.where(e >> i & 1, acc * b % mods, acc)
-    return acc
-
-
-def _strike_slices(found: np.ndarray, acc: np.ndarray, a: int, step: int,
-                   p: int, last: int) -> None:
-    """Multiply every power of p dividing a term into found, and add its
-    share of v to acc, one strided slice per power."""
-    count = found.size
-    b, t, e = a, step, 1  # e: the exponent of p the next strike brings
-    if step % p == 0:
+    last = a + (count - 1) * step
+    found = np.ones(count, dtype=np.int64)  # product of the prime powers found
+    acc = np.zeros(count, dtype=np.int64)
+    # exponent 1 adds p, reaching 2 adds iota(2) = 2, each later one 1
+    for p, _ in factorize(step):
         # p divides every term or none.  All share p**d with
         # d = min(v_p(a), v_p(step)); with that divided out, the quotient
         # terms b + s*t hold more of p only when p no longer divides t
+        b, t, e = a, step, 1  # e: the exponent of p the next strike brings
         while b % p == 0 and t % p == 0:
             b, t, e = b // p, t // p, e + 1
         if e > 1:
             found *= p ** (e - 1)
             acc += p + iota(e - 1)
-        if t % p == 0:
-            return
-    # p**k divides the quotient terms s = -b/t mod p**k, every p**k-th
-    # on; exponent 1 adds p, reaching 2 adds iota(2) = 2, each later one 1
-    q = p
-    while q <= last:
-        s = -b * pow(t, -1, q) % q
-        if s >= count:
-            return
-        found[s::q] *= p
-        acc[s::q] += p if e == 1 else 2 if e == 2 else 1
-        q *= p
-        e += 1
-
-
-def _strike_sparse(found: np.ndarray, acc: np.ndarray, a: int, step: int,
-                   p: np.ndarray, last: int) -> None:
-    """_strike_slices for every prime of p at once; none divides step.
-
-    The first term p divides is s = -a/step mod p, with step**(p-2) for the
-    inverse.  A start s mod q = p**k lifts to q*p by Hensel: the terms
-    s + q*u with p**(k+1) dividing them have u = -((a + s*step)/q)/step
-    mod p.  Every product stays at or below last, so all of it is int64.
-    Each power's hits are expanded into one index array and applied with
-    ufunc.at, which handles terms two primes hit.
-    """
-    count = found.size
-    inv = _pow_mod(step, p - 2, p)
-    # one column per prime: p, its power q, the first term q divides, 1/step
-    rows = np.stack([p, p, -a % p * inv % p, inv])
-    level = 1
-    while True:
-        rows = rows[:, rows[2] < count]
-        if not rows.shape[1]:
-            return
-        p, q, s, inv = rows
-        hits = (count - 1 - s) // q + 1
-        ends = np.cumsum(hits)
-        idx = np.repeat(s - (ends - hits) * q, hits)
-        idx += np.arange(ends[-1]) * np.repeat(q, hits)
-        # exponent 1 adds p, reaching 2 adds iota(2) = 2, each later one 1
-        strike = np.repeat(p, hits)
-        np.multiply.at(found, idx, strike)
-        np.add.at(acc, idx, strike if level == 1 else 2 if level == 2 else 1)
-        p, q, s, inv = rows[:, q <= last // p]
-        u = (s * step + a) // q % p
-        rows = np.stack([p, q * p, s + q * ((p - u) * inv % p), inv])
-        level += 1
-
-
-def _sieve_progression(a: int, step: int, count: int) -> np.ndarray:
-    """v(a + s*step) for every s in [0, count), as int64, indexed by s.
-
-    One sieve over the progression with the primes up to the square root of
-    its last term.  A prime p that does not divide step divides exactly the
-    terms at s = -a/step mod p, then every p-th one, so each power p**k is
-    multiplied into the found part of those terms (a multiply costs a
-    fraction of an int64 division).  The primes that divide step, and those
-    whose powers hit many terms, are struck one strided slice per power;
-    the many primes that hit few terms are struck a slice of the table at
-    a time, as array operations.  Every term must fit in int64.
-    """
-    last = a + (count - 1) * step
+        q = p
+        while t % p and q <= last and (s := -b * pow(t, -1, q) % q) < count:
+            found[s::q] *= p
+            acc[s::q] += p if e == 1 else 2 if e == 2 else 1
+            q, e = q * p, e + 1
     primes = _primes_upto(math.isqrt(last))
-    found = np.ones(count, dtype=np.int64)  # product of the prime powers found
-    acc = np.zeros(count, dtype=np.int64)
-    # walk the table in slices so that no array of all of it is derived
-    for i in range(0, primes.size, _PRIME_SLICE):
-        chunk = primes[i : i + _PRIME_SLICE]
-        looped = (chunk <= count // _DENSE_HITS) | (step % chunk == 0)
-        if np.count_nonzero(~looped) < _SPARSE_MIN:
-            looped[:] = True
-        for p in chunk[looped].tolist():
-            _strike_slices(found, acc, a, step, p, last)
-        if not looped.all():
-            _strike_sparse(found, acc, a, step, chunk[~looped], last)
+    for k, dense, batch in _strikes(a, step, count, primes, last):
+        for p, s, q in dense:
+            found[s::q] *= p
+            acc[s::q] += p if k == 1 else 2 if k == 2 else 1
+        if batch:
+            idx, hit = batch[0], np.repeat(batch[1], batch[2])
+            np.multiply.at(found, idx, hit)
+            np.add.at(acc, idx, hit if k == 1 else 2 if k == 2 else 1)
     # what survives is 1 or a single prime: a composite survivor would
     # exceed the last term, since its prime factors all exceed its root
     rem = np.arange(count, dtype=np.int64)

@@ -495,17 +495,19 @@ class TestSieves:
     @pytest.mark.parametrize("lo,hi", [(0, 50), (1, 50), (2, 3), (3, 1000),
                                        (4, 4), (4, 10**4), (2**17 - 500, 2**17 + 500),
                                        (2**18 - 500, 2**18 + 500),
-                                       (999_900, 1_000_100), (10**9 - 300, 10**9)])
+                                       (999_900, 1_000_100), (10**9 - 300, 10**9),
+                                       (4 * 10**9 - 300, 4 * 10**9)])
     def test_prime_flags_match_v(self, lo, hi, monkeypatch):
-        # a prime is exactly an n with v(n) = n, except 4 = 2**2 -> 2 + 2
-        n = np.arange(max(lo, 1), hi + 1)
-        expected = (v_segment(max(lo, 1), hi) == n) & (n != 4)
-        if lo == 0:
-            expected = np.concatenate(([False], expected))
+        # against the oracles, not v: v_segment strikes from the same plan.
+        # 4*10**9 sieves with 6,337 primes, more than one slice of the plan
+        if hi <= 10**6:
+            expected = oracle_sieve(hi)[lo:]
+        else:
+            expected = [block_trial_is_prime(n) for n in range(lo, hi + 1)]
         empty_prime_table(monkeypatch)  # prime_flags grows the table it sieves with
         got = prime_flags(lo, hi)
         assert got.dtype == bool
-        assert got.tolist() == expected.tolist()
+        assert got.tolist() == expected
 
     def test_prime_flags_edges(self):
         assert len(prime_flags(10, 9)) == 0
@@ -619,44 +621,50 @@ class TestPowMod:
             assert (inv * (step % p) % p == 1).all()
 
 
-def _strikes(monkeypatch):
-    """Count the primes each strike path of v_progression takes."""
-    seen = {"slices": 0, "sparse": 0, "sparse_calls": 0}
-    slices, sparse = arith._strike_slices, arith._strike_sparse
+def _strikes(monkeypatch, last):
+    """Count the dense slices, index-array hits and index arrays of the
+    strike plans; the prime table is grown to sqrt(last) first, so that its
+    own prime_flags plans are not counted."""
+    primes_upto(math.isqrt(last))
+    seen = {"slices": 0, "sparse": 0, "arrays": 0}
+    plan = arith._strikes
 
-    def counted_slices(found, acc, a, step, p, last):
-        seen["slices"] += 1
-        slices(found, acc, a, step, p, last)
+    def counted(*args):
+        for k, dense, batch in plan(*args):
+            dense = list(dense)
+            seen["slices"] += len(dense)
+            if batch:
+                seen["sparse"] += batch[0].size
+                seen["arrays"] += 1
+            yield k, dense, batch
 
-    def counted_sparse(found, acc, a, step, p, last):
-        seen["sparse"] += p.size
-        seen["sparse_calls"] += 1
-        sparse(found, acc, a, step, p, last)
-
-    monkeypatch.setattr(arith, "_strike_slices", counted_slices)
-    monkeypatch.setattr(arith, "_strike_sparse", counted_sparse)
+    monkeypatch.setattr(arith, "_strikes", counted)
     return seen
 
 
 def _oracle_checked_terms(a, step, count, sample, seed):
-    """A seeded sample of the term indices, plus every term that the square
-    of a prime struck by the vectorised path divides (its lifted powers)."""
+    """A seeded sample of the term indices, plus the first and the last term
+    that each lifted power p**k (k >= 2) of a prime not dividing step
+    divides: the Hensel lift gives the first, and for a power that hits
+    fewer than _DENSE_HITS terms, which an index array may strike, the
+    summed indices reach the last only through every hit before it."""
     last = a + (count - 1) * step
     picks = set(random.Random(seed).sample(range(count), min(sample, count)))
     for p in primes_upto(math.isqrt(last)):
-        if count // p >= _DENSE_HITS or step % p == 0:
-            continue
         q = p * p
-        if q > last:
-            break
-        picks.update(range(-a * pow(step, -1, q) % q, count, q))
+        while step % p and q <= last:
+            s = -a * pow(step, -1, q) % q
+            if s < count:
+                picks.update((s, s + (count - 1 - s) // q * q))
+            q *= p
     return sorted(picks)
 
 
 class TestProgressionStrikes:
-    """v_progression against oracle_v on both strike paths: strided slices
-    for the primes dividing the step or hitting many terms, and one array
-    pass per slice of the table for the rest."""
+    """v_progression against oracle_v on both kinds of strike: strided
+    slices for the powers that hit many terms (and for the primes of the
+    step), and one index array per level of a slice of the table for the
+    rest."""
 
     @pytest.mark.parametrize("a,step,count,sample", [
         (10**9 + 7, 10, 10**4, 300),
@@ -666,7 +674,7 @@ class TestProgressionStrikes:
     ])
     def test_blocks_on_both_sides_of_the_crossover(self, monkeypatch, a, step, count,
                                                    sample):
-        seen = _strikes(monkeypatch)
+        seen = _strikes(monkeypatch, a + (count - 1) * step)
         got = v_progression(a, step, count)
         assert seen["slices"] and seen["sparse"]
         for s in _oracle_checked_terms(a, step, count, sample, a):
@@ -678,7 +686,7 @@ class TestProgressionStrikes:
         (127**3 * 2, 3, 3 * 10**4),  # 127**2 < count: two level-2 hits
     ])
     def test_lifted_powers_of_sparse_primes(self, monkeypatch, a, step, count):
-        seen = _strikes(monkeypatch)
+        seen = _strikes(monkeypatch, a + (count - 1) * step)
         got = v_progression(a, step, count)
         assert seen["sparse"]
         checked = _oracle_checked_terms(a, step, count, 20, a)
@@ -690,7 +698,7 @@ class TestProgressionStrikes:
     def test_step_with_a_prime_factor_above_the_crossover(self, monkeypatch, a):
         step, count = 10 * 1009, 2000
         assert count // 1009 < _DENSE_HITS
-        seen = _strikes(monkeypatch)
+        seen = _strikes(monkeypatch, a + (count - 1) * step)
         got = v_progression(a, step, count)
         assert seen["slices"] and seen["sparse"]
         assert got.tolist() == [oracle_v(a + s * step) for s in range(count)]
@@ -698,9 +706,9 @@ class TestProgressionStrikes:
     def test_prime_table_of_several_slices(self, monkeypatch):
         a, step, count = 10**10 + 1, 100, 3 * 10**4
         assert primes_upto(math.isqrt(a + (count - 1) * step)).__len__() > 2 * _PRIME_SLICE
-        seen = _strikes(monkeypatch)
+        seen = _strikes(monkeypatch, a + (count - 1) * step)
         got = v_progression(a, step, count)
-        assert seen["sparse_calls"] >= 3
+        assert seen["arrays"] >= 3  # one at least per slice of the table
         for s in _oracle_checked_terms(a, step, count, 100, 1):
             assert got[s] == oracle_v(a + s * step), s
 
@@ -708,6 +716,9 @@ class TestProgressionStrikes:
     def test_single_term_with_a_huge_step(self, monkeypatch, a):
         # one term never pays for the sieve, so force it
         monkeypatch.setattr(arith, "_SIEVE_BREAK_EVEN", 0)
-        seen = _strikes(monkeypatch)
+        seen = _strikes(monkeypatch, a)
         assert v_progression(a, 10**30, 1).tolist() == [oracle_v(a)]
-        assert seen["sparse"]
+        # only the primes of the one term stay live, fewer than _SPARSE_MIN,
+        # so each of its prime powers below its root is one slice
+        assert seen["sparse"] == 0
+        assert seen["slices"] == sum(e for p, e in trial_factorize(a) if p * p <= a)
