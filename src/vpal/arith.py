@@ -45,14 +45,15 @@ INT64_MAX = np.iinfo(np.int64).max
 _PRIME_SLICE = 1 << 12
 # A power that hits this many terms gets a strided slice (a Python step),
 # the rest of its level one index array.  Over the sieve calls of verify
-# --bound 10^7 and enumerate 1..150000 (2-vCPU machine), 128 to 512 took
-# within 3% of each other and 64 took 8% more; that verify's 49 prime_flags
-# windows took 6% less at 128, 13% more at 512 and 28% more at 1024.
+# --bound 10^7 and enumerate 1..150000 (2-vCPU machine, two interleaved
+# runs), 128 took within 5% of 256, and 64, 512 and 1024 up to 16-19% more;
+# that verify's 49 prime_flags windows took 11-13% less at 64, 11-16% more
+# at 512 and 25-34% more at 1024.
 _DENSE_HITS = 256
-# Fewer sparse powers than this (at least 1) in a level get slices too, and
-# fewer live powers are lifted as ints.  On those calls 8 to 32 took within
-# 1%, 1 took 19-25% more and 64 or 128 up to 15% more; on 3,000 terms at
-# 10^12, 8 and 16 took 15% less than 32 and 128 took 36% more.
+# Fewer sparse powers than this (at least 1) in a level get slices too.  On
+# those calls 8 to 32 took within 7%, 1 took 7-14% more and 64 or 128 7-13%
+# more; on 3,000 terms at 10^12, 8 and 16 took 18-20% less than 32 and 128
+# took 27-35% more.
 _SPARSE_MIN = 32
 
 
@@ -94,7 +95,7 @@ def _strikes(a: int, step: int, count: int, primes: np.ndarray, last: int):
         inv = _pow_mod(step, p - 2, p) if step > 1 else np.ones_like(p)
         # one column per prime: p, the first term its power q divides, q, 1/step
         rows, k = np.array([p, -a % p * inv % p, p, inv]), 1
-        while (rows := rows.compress(rows[1] < count, axis=1)).shape[1] >= _SPARSE_MIN:
+        while (rows := rows.compress(rows[1] < count, axis=1)).shape[1]:
             p, s, q, inv = rows
             hits = (count - 1 - s) // q + 1
             sparse = hits < _DENSE_HITS
@@ -113,13 +114,6 @@ def _strikes(a: int, step: int, count: int, primes: np.ndarray, last: int):
             s += q * ((p - (s * step + a) // q % p) * inv % p)
             q *= p
             k += 1
-        # under _SPARSE_MIN live powers all later ones are dense: lift as ints
-        rows = list(zip(*rows.tolist()))
-        while rows:
-            yield k, [row[:3] for row in rows], None
-            rows = [(p, s + q * ((p - (s * step + a) // q % p) * inv % p), q * p, inv)
-                    for p, s, q, inv in rows if q <= last // p]
-            rows, k = [row for row in rows if row[1] < count], k + 1
 
 
 _PRIME_SEGMENT = 1 << 18

@@ -643,15 +643,18 @@ def _strikes(monkeypatch, last):
 
 
 def _oracle_checked_terms(a, step, count, sample, seed):
-    """A seeded sample of the term indices, plus the first and the last term
-    that each lifted power p**k (k >= 2) of a prime not dividing step
-    divides: the Hensel lift gives the first, and for a power that hits
-    fewer than _DENSE_HITS terms, which an index array may strike, the
-    summed indices reach the last only through every hit before it."""
+    """A seeded sample of the term indices, every term that the square of a
+    prime hitting fewer than _DENSE_HITS terms divides (the lifted powers
+    an index array may strike), and the first and the last term that each
+    lifted power p**k (k >= 2) of a prime not dividing step divides: the
+    Hensel lift gives the first, and the summed indices of an index array
+    reach the last only through every hit before it."""
     last = a + (count - 1) * step
     picks = set(random.Random(seed).sample(range(count), min(sample, count)))
     for p in primes_upto(math.isqrt(last)):
         q = p * p
+        if step % p and count // p < _DENSE_HITS and q <= last:
+            picks.update(range(-a * pow(step, -1, q) % q, count, q))
         while step % p and q <= last:
             s = -a * pow(step, -1, q) % q
             if s < count:
