@@ -25,10 +25,8 @@ from .arith import (
     factorize,
     iota,
     is_prime,
-    primes_upto,
     spf_sieve,
     v,
-    v_progression,
     v_segment,
 )
 from .digits import length, reverse
@@ -85,12 +83,10 @@ __all__ = [
     "is_v_palindrome",
     "length",
     "pair_probability",
-    "primes_upto",
     "reverse",
     "search_anchors",
     "spf_sieve",
     "v",
-    "v_progression",
     "v_segment",
     "verify_characterization",
 ]

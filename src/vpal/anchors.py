@@ -30,7 +30,6 @@ rounds, because neither q + 1 nor q - 1 is fully factored.
 import json
 import os
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 # v, spf_sieve and v_with_table are no longer called here, but
 # perfbench/tracing.py patches them under these names.
@@ -98,19 +97,17 @@ def check_anchor(m: int, rounds: int = DEFAULT_ROUNDS) -> AnchorResult:
     """Test both members of the anchor pair at m.
 
     is_candidate treats a probable_prime verdict as non-composite but the
-    verdicts themselves always say which kind of evidence backs them.  A
-    member the index sieve strikes is composite without a Miller-Rabin test,
-    as in the search.
+    verdicts themselves always say which kind of evidence backs them.  The
+    one-index search: a member the index sieve strikes is composite without
+    a Miller-Rabin test.
     """
-    ((m, p_struck, q_struck),) = _index_sieve(m, m)
-    return _check_pair(m, rounds, p_struck, q_struck)
+    return search_anchors(m, m, rounds)[0]
 
 
 def _check_pair(m: int, rounds: int, p_struck: bool,
                 q_struck: bool) -> AnchorResult:
     """The pair check at m, with a struck member judged composite untested."""
     p, q = anchor(m)
-    _check_rounds(rounds)  # a struck member never reaches is_prime's check
     return _anchor_result(m, _STRUCK if p_struck else _p_verdict(p, rounds),
                           _STRUCK if q_struck else is_prime(q, rounds))
 
@@ -283,7 +280,6 @@ def _append_record(fh, result: AnchorResult, rounds: int) -> None:
         "q_status": result.q_verdict.status,
         "q_certainty": result.q_verdict.certainty,
         "rounds": rounds,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
     })
 
 
@@ -356,9 +352,9 @@ def verify_characterization(bound: int, base: int = 10, workers: int = 1,
     base**length(bound) must fit in int64 (bound < 10**18 in base 10; a
     larger bound raises DomainError).  The characterization side runs the
     anchor search over CANDIDATE_FLOOR <= m with larger member p <= bound
-    and collects its candidates, plus any below-floor p the brute force
-    finds (none are known; the floor is re-derived, not
-    assumed).  The anchor digit form is specific to base 10, so for other
+    and collects its candidates; a brute-force hit below the floor would
+    make the report inconsistent, so the floor is checked, not assumed.
+    The anchor digit form is specific to base 10, so for other
     bases the characterization side is empty and the report simply exposes
     whatever the brute force found.
     """
@@ -368,12 +364,10 @@ def verify_characterization(bound: int, base: int = 10, workers: int = 1,
     _check_int64_reach(bound, base)
     _check_rounds(rounds)
     brute = _brute_force_hits(bound, base, workers)
-    brute_set = set(brute)
     # the last index whose larger member p = 5*10**m - 1 is <= bound
     m_max = length((bound + 1) // 5) - 1 if base == 10 else 0
-    below = range(1, min(m_max, CANDIDATE_FLOOR - 1) + 1)
-    chars = [p for p, _q in map(anchor, below) if p in brute_set]
+    chars = []
     if m_max >= CANDIDATE_FLOOR:
-        chars += [r.p for r in search_anchors(CANDIDATE_FLOOR, m_max, rounds)
-                  if r.is_candidate]
-    return VerificationReport(bound, brute, chars, brute_set == set(chars))
+        chars = [r.p for r in search_anchors(CANDIDATE_FLOOR, m_max, rounds)
+                 if r.is_candidate]
+    return VerificationReport(bound, brute, chars, set(brute) == set(chars))

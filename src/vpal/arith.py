@@ -189,6 +189,8 @@ def _strong_probable_prime(n: int, base: int) -> bool:
 
 
 def _check_rounds(rounds: int) -> None:
+    if type(rounds) is not int:  # True and 2.5 pass a comparison with 1
+        raise DomainError(f"rounds must be an int, got {rounds!r}")
     if rounds < 1:
         raise DomainError(f"rounds must be positive, got {rounds}")
 
@@ -393,11 +395,6 @@ def v(n: int, budget: int | None = None) -> int:
     return sum(p + iota(e) for p, e in factorize(n, budget))
 
 
-def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    return _primes_upto(limit).tolist()
-
-
 def spf_sieve(limit: int) -> np.ndarray:
     """Smallest-prime-factor table for [0, limit].
 
@@ -509,24 +506,13 @@ def _v_terms(a: int, step: int, x: np.ndarray | range) -> np.ndarray:
     return np.array([v(a + step * s) for s in (x if whole else x.tolist())], dtype=np.int64)
 
 
-def v_progression(a: int, step: int, count: int) -> np.ndarray:
-    """v(a + s*step) for every s in [0, count), as int64, indexed by s, from
-    one sieve where it pays (_v_terms).  Every term must fit in int64."""
-    if a < 1 or step < 1:
-        raise DomainError(f"progression start and step must be >= 1, got {a}, {step}")
-    if count < 1:
-        return np.zeros(0, dtype=np.int64)
-    if count == 1:
-        step = 1  # a single term does not depend on the step, which may not fit int64
-    last = a + (count - 1) * step
-    if last > INT64_MAX:
-        raise DomainError(f"progression term {last} does not fit in int64")
-    return _v_terms(a, step, range(count))
-
-
 def v_segment(lo: int, hi: int) -> np.ndarray:
     """v(n) for every n in [lo, hi] as int64, indexed by n - lo: the
-    progression with step 1."""
+    progression with step 1, from one sieve where it pays (_v_terms)."""
     if lo < 1:
         raise DomainError(f"segment start must be >= 1, got {lo}")
-    return v_progression(lo, 1, hi - lo + 1)
+    if hi < lo:
+        return np.zeros(0, dtype=np.int64)
+    if hi > INT64_MAX:
+        raise DomainError(f"segment end {hi} does not fit in int64")
+    return _v_terms(lo, 1, range(hi - lo + 1))

@@ -14,7 +14,6 @@ from vpal import (
     converse_identity,
     is_v_palindrome,
     length,
-    primes_upto,
     reverse,
     search_anchors,
     verify_characterization,
@@ -22,13 +21,13 @@ from vpal import (
 from vpal import anchors as anchors_mod
 from vpal import arith as arith_mod
 from vpal import palindromes as palindromes_mod
-from vpal.arith import PrimalityVerdict, is_prime, prime_flags
+from vpal.arith import PrimalityVerdict, _primes_upto, is_prime, prime_flags
 
 
 @functools.lru_cache(maxsize=None)
 def _prime_v_palindromes(bound, base):
     """The raw predicate over every prime <= bound."""
-    return [p for p in primes_upto(bound) if is_v_palindrome(p, base)]
+    return [p for p in _primes_upto(bound).tolist() if is_v_palindrome(p, base)]
 
 
 class TestAnchor:
@@ -199,6 +198,44 @@ class TestSearchAnchors:
             with pytest.raises(DomainError, match="rounds"):
                 search_anchors(1, 2, rounds=rounds, checkpoint_path=str(path))
         assert not path.exists()
+
+    def test_bool_rounds_rejected_before_the_checkpoint_opens(self, tmp_path):
+        # a bool would be written as the header "rounds": true, which no
+        # resume accepts
+        path = tmp_path / "search.ckpt"
+        with pytest.raises(DomainError, match="rounds must be an int, got True"):
+            search_anchors(1, 3, rounds=True, checkpoint_path=str(path))
+        assert not path.exists()
+
+    def test_fractional_rounds_rejected(self):
+        # q at m = 30 is past the deterministic bound, where the rounds run
+        with pytest.raises(DomainError, match="rounds must be an int, got 2.5"):
+            search_anchors(30, 30, rounds=2.5)
+
+    def test_records_carry_no_timestamp(self, tmp_path):
+        # 40..45 lie past the sieve start, so struck members are in the file
+        assert any(p or q for _m, p, q in anchors_mod._index_sieve(40, 45))
+        fresh, resumed = tmp_path / "fresh.ckpt", tmp_path / "resumed.ckpt"
+        search_anchors(1, 45, checkpoint_path=str(fresh))
+        search_anchors(1, 30, checkpoint_path=str(resumed))
+        search_anchors(1, 45, checkpoint_path=str(resumed))
+        assert fresh.read_bytes() == resumed.read_bytes()
+        for line in fresh.read_text().splitlines()[1:]:
+            assert set(json.loads(line)) == {
+                "record", "m", "p_status", "p_certainty", "q_status",
+                "q_certainty", "rounds"}
+
+    def test_timestamped_records_still_resume(self, tmp_path, monkeypatch):
+        # files whose records carry a timestamp must still resume
+        path = tmp_path / "search.ckpt"
+        first = search_anchors(1, 45, checkpoint_path=str(path))
+        header, *records = path.read_text().splitlines()
+        stamped = [json.dumps({**json.loads(line),
+                               "timestamp": "2026-01-01T00:00:00.000000+00:00"})
+                   for line in records]
+        path.write_text("\n".join([header] + stamped) + "\n")
+        monkeypatch.setattr(anchors_mod, "_check_pair", None)  # nothing recomputed
+        assert search_anchors(1, 45, checkpoint_path=str(path)) == first
 
     def test_unwritable_checkpoint_refuses(self, tmp_path):
         path = tmp_path / "missing-dir" / "search.ckpt"
@@ -448,18 +485,20 @@ class TestVerifyCharacterization:
 
         monkeypatch.setattr(anchors_mod, "search_anchors", recording)
         rep = verify_characterization(bound)
-        # below the floor no pair is tested; membership in the brute force decides
+        # below the floor no pair is tested
         floor = anchors_mod.CANDIDATE_FLOOR
         assert calls == ([] if m_max < floor else [(floor, m_max)])
         assert rep.characterization_hits == [] and rep.consistent
 
-    @pytest.mark.parametrize("bound,found", [(498, [49]), (10**5, [49, 4999])])
-    def test_below_floor_anchors_taken_from_the_brute_force(self, monkeypatch,
-                                                           bound, found):
+    @pytest.mark.parametrize("bound", [498, 10**5])
+    def test_below_floor_hits_stay_unmatched(self, monkeypatch, bound):
+        # the characterization side comes from the anchor search alone, so a
+        # brute-force hit below the floor makes the report inconsistent
         monkeypatch.setattr(anchors_mod, "_brute_force_hits",
                             lambda *args: [13, 49, 4999])
         rep = verify_characterization(bound)
-        assert rep.characterization_hits == found
+        assert rep.brute_force_hits == [13, 49, 4999]
+        assert rep.characterization_hits == []
         assert not rep.consistent
 
     def test_rounds_below_one_rejected_before_the_brute_force(self, monkeypatch):
@@ -553,7 +592,7 @@ class TestVerifyCharacterization:
     def test_prime_digit_range_bracket(self):
         # a k+1-digit prime that is coprime to 10 and not a reversal fixed
         # point sits in [10^k + 3, 10^(k+1) - 3]
-        for p in primes_upto(10**5):
+        for p in _primes_upto(10**5).tolist():
             if p % 10 == 0 or reverse(p, 10) == p:
                 continue
             k = length(p, 10) - 1

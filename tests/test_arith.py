@@ -20,10 +20,8 @@ from vpal import (
     factorize,
     iota,
     is_prime,
-    primes_upto,
     spf_sieve,
     v,
-    v_progression,
     v_segment,
 )
 from vpal import arith
@@ -373,7 +371,7 @@ class TestAdditiveFunctions:
             checked += 1
 
     def test_prime_power_bound(self):
-        for p in primes_upto(100):
+        for p in _primes_upto(100).tolist():
             for alpha in range(1, 21):
                 assert v(p**alpha) <= p**alpha
 
@@ -484,13 +482,13 @@ class TestSieves:
     def test_primes_upto_matches_oracle(self):
         flags = oracle_sieve(10**6)
         expected = [i for i, f in enumerate(flags) if f]
-        assert primes_upto(10**6) == expected
+        assert _primes_upto(10**6).tolist() == expected
 
     def test_primes_upto_across_segment_edges(self):
         flags = oracle_sieve(2 * _PRIME_SEGMENT + 3)
         for limit in (0, 1, 2, 3, 4, 30, _PRIME_SEGMENT - 1, _PRIME_SEGMENT,
                       _PRIME_SEGMENT + 1, 2 * _PRIME_SEGMENT + 3):
-            assert primes_upto(limit) == [i for i in range(limit + 1) if flags[i]]
+            assert _primes_upto(limit).tolist() == [i for i in range(limit + 1) if flags[i]]
 
     @pytest.mark.parametrize("lo,hi", [(0, 50), (1, 50), (2, 3), (3, 1000),
                                        (4, 4), (4, 10**4), (2**17 - 500, 2**17 + 500),
@@ -559,7 +557,7 @@ class TestSieves:
             # always sieved, then always factored term by term
             for break_even in (0, 10**30):
                 monkeypatch.setattr(arith, "_SIEVE_BREAK_EVEN", break_even)
-                got = v_progression(a, step, count)
+                got = arith._v_terms(a, step, range(count))
                 assert got.dtype == np.int64
                 assert got.tolist() == expected, (a, step, count, break_even)
 
@@ -575,22 +573,16 @@ class TestSieves:
 
         monkeypatch.setattr(arith, "_primes_upto", recorded)
         a = 10**15 + 37
-        assert v_progression(a, 10**30, 1).tolist() == [oracle_v(a)]
+        assert v_segment(a, a).tolist() == [oracle_v(a)]
         lo = 10**15
         assert v_segment(lo, lo + 3).tolist() == [oracle_v(n) for n in range(lo, lo + 4)]
         assert all(limit <= arith._SMALL_PRIME_LIMIT for limit in limits), limits
 
-    def test_v_progression_edges(self):
-        assert v_progression(1, 10, 1).tolist() == [0]
-        assert len(v_progression(5, 3, 0)) == 0
-        # a single term ignores its step, however large
-        assert v_progression(891, 10**30, 1).tolist() == [18]
-        with pytest.raises(DomainError):
-            v_progression(0, 1, 5)
-        with pytest.raises(DomainError):
-            v_progression(1, 0, 5)
-        with pytest.raises(DomainError):
-            v_progression(2**62, 2**62, 2)
+    def test_v_segment_edges(self):
+        assert v_segment(891, 891).tolist() == [18]
+        assert v_segment(INT64_MAX, INT64_MAX).tolist() == [oracle_v(INT64_MAX)]
+        with pytest.raises(DomainError, match="does not fit in int64"):
+            v_segment(INT64_MAX, INT64_MAX + 1)
 
 
 class TestPowMod:
@@ -625,7 +617,7 @@ def _strikes(monkeypatch, last):
     """Count the dense slices, index-array hits and index arrays of the
     strike plans; the prime table is grown to sqrt(last) first, so that its
     own prime_flags plans are not counted."""
-    primes_upto(math.isqrt(last))
+    _primes_upto(math.isqrt(last))
     seen = {"slices": 0, "sparse": 0, "arrays": 0}
     plan = arith._strikes
 
@@ -651,7 +643,7 @@ def _oracle_checked_terms(a, step, count, sample, seed):
     reach the last only through every hit before it."""
     last = a + (count - 1) * step
     picks = set(random.Random(seed).sample(range(count), min(sample, count)))
-    for p in primes_upto(math.isqrt(last)):
+    for p in _primes_upto(math.isqrt(last)).tolist():
         q = p * p
         if step % p and count // p < _DENSE_HITS and q <= last:
             picks.update(range(-a * pow(step, -1, q) % q, count, q))
@@ -664,7 +656,7 @@ def _oracle_checked_terms(a, step, count, sample, seed):
 
 
 class TestProgressionStrikes:
-    """v_progression against oracle_v on both kinds of strike: strided
+    """_v_terms against oracle_v on both kinds of strike: strided
     slices for the powers that hit many terms (and for the primes of the
     step), and one index array per level of a slice of the table for the
     rest."""
@@ -678,7 +670,7 @@ class TestProgressionStrikes:
     def test_blocks_on_both_sides_of_the_crossover(self, monkeypatch, a, step, count,
                                                    sample):
         seen = _strikes(monkeypatch, a + (count - 1) * step)
-        got = v_progression(a, step, count)
+        got = arith._v_terms(a, step, range(count))
         assert seen["slices"] and seen["sparse"]
         for s in _oracle_checked_terms(a, step, count, sample, a):
             assert got[s] == oracle_v(a + s * step), (a, step, s)
@@ -690,7 +682,7 @@ class TestProgressionStrikes:
     ])
     def test_lifted_powers_of_sparse_primes(self, monkeypatch, a, step, count):
         seen = _strikes(monkeypatch, a + (count - 1) * step)
-        got = v_progression(a, step, count)
+        got = arith._v_terms(a, step, range(count))
         assert seen["sparse"]
         checked = _oracle_checked_terms(a, step, count, 20, a)
         for s in checked:
@@ -702,25 +694,25 @@ class TestProgressionStrikes:
         step, count = 10 * 1009, 2000
         assert count // 1009 < _DENSE_HITS
         seen = _strikes(monkeypatch, a + (count - 1) * step)
-        got = v_progression(a, step, count)
+        got = arith._v_terms(a, step, range(count))
         assert seen["slices"] and seen["sparse"]
         assert got.tolist() == [oracle_v(a + s * step) for s in range(count)]
 
     def test_prime_table_of_several_slices(self, monkeypatch):
         a, step, count = 10**10 + 1, 100, 3 * 10**4
-        assert primes_upto(math.isqrt(a + (count - 1) * step)).__len__() > 2 * _PRIME_SLICE
+        assert len(_primes_upto(math.isqrt(a + (count - 1) * step))) > 2 * _PRIME_SLICE
         seen = _strikes(monkeypatch, a + (count - 1) * step)
-        got = v_progression(a, step, count)
+        got = arith._v_terms(a, step, range(count))
         assert seen["arrays"] >= 3  # one at least per slice of the table
         for s in _oracle_checked_terms(a, step, count, 100, 1):
             assert got[s] == oracle_v(a + s * step), s
 
     @pytest.mark.parametrize("a", [999_999_999_989, 1009**2 * 997 * 991, 2**39, 3**25])
-    def test_single_term_with_a_huge_step(self, monkeypatch, a):
+    def test_single_term_segment(self, monkeypatch, a):
         # one term never pays for the sieve, so force it
         monkeypatch.setattr(arith, "_SIEVE_BREAK_EVEN", 0)
         seen = _strikes(monkeypatch, a)
-        assert v_progression(a, 10**30, 1).tolist() == [oracle_v(a)]
+        assert v_segment(a, a).tolist() == [oracle_v(a)]
         # only the primes of the one term stay live, fewer than _SPARSE_MIN,
         # so each of its prime powers below its root is one slice
         assert seen["sparse"] == 0
