@@ -4,10 +4,8 @@ A prime v-palindrome must be the larger member of an anchor pair
 (5*10**m - 3, 5*10**m - 1) with m at or above a small floor, so the search
 for prime v-palindromes reduces to primality checks on anchor pairs.  This
 module provides those checks, the algebraic reversal identity behind them,
-a resumable checkpointed search, and a brute-force cross-verifier.  The
-brute force hands the range driver of vpal.palindromes the spans of
-[base, bound] that can hold a prime hit, and the driver cuts them into
-shards one at a time; the rest of the range is never sent to a worker.
+a resumable checkpointed search, and a cross-check against the brute force
+of vpal.palindromes.
 
 Before any Miller-Rabin, the search runs an index sieve that strikes the
 members with a small prime factor, from the index on where a sieve step
@@ -45,15 +43,9 @@ from .arith import (  # noqa: F401
     v,
     v_with_table,
 )
-from .digits import _check_base, length, reverse
+from .digits import length, reverse
 from .errors import CheckpointCorrupt, DomainError
-from .palindromes import (
-    _check_int64_reach,
-    _prime_hit_spans,
-    _prime_shard_hits,
-    _scan,
-    _shard_map,
-)
+from .palindromes import _brute_force_hits, _shard_map
 
 # Smallest m worth testing: exhaustive search shows no prime v-palindrome
 # has fewer than CANDIDATE_FLOOR + 1 digits.  verify_characterization can
@@ -335,33 +327,22 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
 
 # --- brute-force cross-verification ------------------------------------
 
-def _brute_force_hits(bound: int, base: int, workers: int) -> list[int]:
-    """Every prime v-palindrome p <= bound, ascending.  Only the spans that
-    can hold a prime hit are cut into shards; every p below the base is a
-    one-digit fixed point of reversal."""
-    spans = _prime_hit_spans(base, bound, base)
-    return list(_scan(_prime_shard_hits, spans, base, workers))
-
-
 def verify_characterization(bound: int, base: int = 10, workers: int = 1,
                             rounds: int = DEFAULT_ROUNDS) -> VerificationReport:
     """Compare brute force against the anchor characterization up to bound.
 
-    The brute-force side tests every prime p <= bound with the raw
-    predicate, through the same reversal-image sieves as enumeration, so
-    base**length(bound) must fit in int64 (bound < 10**18 in base 10; a
-    larger bound raises DomainError).  The characterization side runs the
-    anchor search over CANDIDATE_FLOOR <= m with larger member p <= bound
-    and collects its candidates; a brute-force hit below the floor would
-    make the report inconsistent, so the floor is checked, not assumed.
-    The anchor digit form is specific to base 10, so for other
-    bases the characterization side is empty and the report simply exposes
-    whatever the brute force found.
+    The brute-force side is the prime scanner of vpal.palindromes, with
+    enumeration's int64 limit (bound < 10**18 in base 10; a larger bound
+    raises DomainError).  The characterization side runs the anchor search
+    over CANDIDATE_FLOOR <= m with larger member p <= bound and collects
+    its candidates; a brute-force hit below the floor would make the report
+    inconsistent, so the floor is checked, not assumed.  The anchor digit
+    form is specific to base 10, so for other bases the characterization
+    side is empty and the report simply exposes whatever the brute force
+    found.
     """
     if bound < 2:
         raise DomainError(f"bound must be >= 2, got {bound}")
-    _check_base(base)
-    _check_int64_reach(bound, base)
     _check_rounds(rounds)
     brute = _brute_force_hits(bound, base, workers)
     # the last index whose larger member p = 5*10**m - 1 is <= bound

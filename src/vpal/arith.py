@@ -196,7 +196,11 @@ def _check_rounds(rounds: int) -> None:
 
 
 def _check_budget(budget: int | None) -> None:
-    if budget is not None and budget < 0:
+    if budget is None:
+        return
+    if type(budget) is not int:  # as in _check_rounds
+        raise DomainError(f"budget must be an int, got {budget!r}")
+    if budget < 0:
         raise DomainError(f"budget must be nonnegative, got {budget}")
 
 

@@ -50,15 +50,17 @@ def from_decimal(s: str) -> int:
 
 
 def _check_base(base: int) -> None:
+    if type(base) is not int:  # 10.0 passes a comparison with 2 and with 10
+        raise DomainError(f"base must be an int, got {base!r}")
     if base < 2:
         raise DomainError(f"base must be >= 2, got {base}")
 
 
 def length(n: int, base: int = 10) -> int:
     """Number of base-b digits of n, with length(0) = 0 by convention."""
+    _check_base(base)
     if base == 10 and n > 0:
         return len(decimal_str(n))
-    _check_base(base)
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     ell = 0

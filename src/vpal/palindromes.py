@@ -186,19 +186,11 @@ def _prime_hit_spans(lo: int, hi: int, base: int) -> list[tuple[int, int]]:
 
 
 def _prime_shard_hits(lo: int, hi: int, base: int) -> list[int]:
-    """The prime v-palindromes in [lo, hi], ascending.
-
-    v(p) = p for a prime, so p is a hit exactly when v of its reversal
-    equals p.  The primes come from one segmented sieve per span of
-    _prime_hit_spans; the rest of the range is never sieved.  The shards of
-    the brute force lie in one span each.
-    """
-    out = []
-    for x, y in _prime_hit_spans(lo, hi, base):
-        flags = prime_flags(x, y)
-        n = np.arange(x, y + 1, dtype=np.int64)
-        out += [p for p, _r, _v in _block_hits(x, n, flags, base, False)]
-    return out
+    """The prime v-palindromes in [lo, hi], ascending, from one segmented
+    sieve of the shard: v(p) = p for a prime, so p is a hit exactly when v
+    of its reversal equals p."""
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    return [p for p, _r, _v in _block_hits(lo, n, prime_flags(lo, hi), base, False)]
 
 
 def _shard_width(base: int) -> int:
@@ -298,6 +290,16 @@ def enumerate_v_palindromes(lo: int, hi: int, base: int = 10, mode: str = "all",
     spans = [(max(lo, base), hi)]
     for n, r, shared in _scan(_shard_hits, spans, base, workers, mode == "canonical"):
         yield VPalindromeHit(n, r, shared, base)
+
+
+def _brute_force_hits(bound: int, base: int, workers: int) -> list[int]:
+    """Every prime v-palindrome p <= bound, ascending, under enumeration's
+    int64 limit.  Only the spans of _prime_hit_spans are cut into shards;
+    every p below the base is a one-digit fixed point of reversal."""
+    _check_base(base)
+    _check_int64_reach(bound, base)
+    spans = _prime_hit_spans(base, bound, base)
+    return list(_scan(_prime_shard_hits, spans, base, workers))
 
 
 def _check_int64_reach(hi: int, base: int) -> None:

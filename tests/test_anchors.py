@@ -564,8 +564,8 @@ class TestVerifyCharacterization:
             shards.append((lo, hi))
             return []
 
-        monkeypatch.setattr(anchors_mod, "_prime_shard_hits", record)
-        assert anchors_mod._brute_force_hits(10**7, 10, 1) == []
+        monkeypatch.setattr(palindromes_mod, "_prime_shard_hits", record)
+        assert palindromes_mod._brute_force_hits(10**7, 10, 1) == []
         # the spans of 2..5-digit n below 5*10**(L-1), 6- and 7-digit ones cut
         # at the multiples of the shard width 10**5, and 10**7 itself
         width = 10**5
@@ -577,6 +577,12 @@ class TestVerifyCharacterization:
     def test_bound_beyond_int64_rejected(self):
         with pytest.raises(DomainError):
             verify_characterization(10**18)
+
+    @pytest.mark.parametrize("base,message", [
+        (1, "base must be >= 2, got 1"), (10.0, "base must be an int, got 10.0")])
+    def test_bad_base_rejected(self, base, message):
+        with pytest.raises(DomainError, match=message):
+            verify_characterization(1000, base=base)
 
     def test_brute_hits_must_have_anchor_shape(self):
         # any prime v-palindrome ends in 9, leads with 4, and is all 9s in

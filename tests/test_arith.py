@@ -223,6 +223,14 @@ class TestFactorize:
         with pytest.raises(DomainError, match="budget must be nonnegative, got -1"):
             factorize(n, budget=-1)
 
+    @pytest.mark.parametrize("fn,n,budget", [
+        (factorize, 198, True), (factorize, 198, 2.5), (v, 1_000_003, 167.5)])
+    def test_non_int_budget_refused(self, fn, n, budget):
+        # each passes a comparison with 0, and 167.5 would pay for 1000003's
+        # 168th probe, which 167 does not
+        with pytest.raises(DomainError, match=f"budget must be an int, got {budget!r}"):
+            fn(n, budget=budget)
+
 
 class TestIsPrime:
     def test_examples(self):

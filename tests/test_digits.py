@@ -16,6 +16,10 @@ def test_length_examples():
     for n, base in [(5, 0), (-1, 10), (-1, 3), (5, 1)]:
         with pytest.raises(DomainError):
             length(n, base)
+    # 10.0 passes the comparison with 10 that picks the decimal path
+    for n, base in [(1000, 2.5), (1000, 10.0), (0, 10.0)]:
+        with pytest.raises(DomainError, match=f"base must be an int, got {base}"):
+            length(n, base)
 
 
 def test_length_decade_bracketing():
@@ -34,7 +38,7 @@ def test_reverse_examples():
 
 
 def test_reverse_rejects_zero():
-    for n, base in [(0, 10), (5, 1), (-3, 7)]:
+    for n, base in [(0, 10), (5, 1), (-3, 7), (198, 2.5), (198, 10.0), (198, True)]:
         with pytest.raises(DomainError):
             reverse(n, base)
 

@@ -83,6 +83,10 @@ class TestPredicate:
         for n in (121, 100, 198):
             with pytest.raises(DomainError, match="budget must be nonnegative, got -1"):
                 is_v_palindrome(n, budget=-1)
+        with pytest.raises(DomainError, match="base must be an int, got 10.0"):
+            is_v_palindrome(198, 10.0)
+        with pytest.raises(DomainError, match="budget must be an int, got 2.5"):
+            is_v_palindrome(198, budget=2.5)
 
     def test_matches_oracle(self):
         rng = random.Random(20)
@@ -189,6 +193,11 @@ class TestEnumerate:
     def test_bad_mode(self):
         with pytest.raises(DomainError):
             list(enumerate_v_palindromes(1, 10, mode="both"))
+
+    def test_non_int_base_refused(self):
+        # refused before the int64 sieves see it
+        with pytest.raises(DomainError, match="base must be an int, got 10.0"):
+            list(enumerate_v_palindromes(1, 1000, base=10.0))
 
     @pytest.mark.parametrize("lo,hi", [(99_990, 100_010), (65_530, 65_545),
                                        (999_990, 1_000_020), (1, 3000),
@@ -433,9 +442,19 @@ class TestCompositeBound:
         assert next(hits) == 109
         hits.close()
 
-    def test_shard_past_the_bound_skips_the_prime_sieve(self, monkeypatch):
-        def no_sieve(lo, hi):
-            raise AssertionError(f"sieved [{lo}, {hi}]")
-        monkeypatch.setattr(palindromes_mod, "prime_flags", no_sieve)
-        assert palindromes_mod._prime_shard_hits(5 * 10**5, 6 * 10**5 - 1, 10) == []
-        assert palindromes_mod._prime_shard_hits(5 * 10**6, 10**7 - 1, 10) == []
+    def test_brute_force_sieves_only_inside_the_prime_hit_spans(self, monkeypatch):
+        windows = []
+        sieve = palindromes_mod.prime_flags
+
+        def recording(lo, hi):
+            windows.append((lo, hi))
+            return sieve(lo, hi)
+
+        monkeypatch.setattr(palindromes_mod, "prime_flags", recording)
+        assert palindromes_mod._brute_force_hits(10**7, 10, 1) == []
+        spans = palindromes_mod._prime_hit_spans(10, 10**7, 10)
+        assert windows
+        for lo, hi in windows:
+            assert any(x <= lo <= hi <= y for x, y in spans), (lo, hi)
+            # no n in [5*10**k, 10**(k+1)) has a reversal r >= 2n - 4
+            assert not any(5 * 10**k <= lo < 10 ** (k + 1) for k in range(7)), (lo, hi)
