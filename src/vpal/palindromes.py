@@ -12,6 +12,17 @@ p + e <= p**e/2 + 2.  So v(r) = v(n) needs r prime with r = v(n), or
 v(n) <= r/2 + 2.  For a prime n, v(n) = n and r != n, so n can be a hit
 only when r >= 2n - 4; the known prime hits in other bases (109 and 1789
 in base 16, 3469 in base 100) meet it with equality.
+
+The prime scanner of verify's brute force also applies, to its spans
+and to each block of primes, the smallest-prime-factor bound: v(m) <=
+s + m/s for a composite m whose smallest prime factor is s.  v is
+subadditive (v(xy) <= v(x) + v(y)) and v(t) <= t, so v(m) <= v(s) +
+v(m/s) <= s + m/s.  x + m/x decreases for x <= sqrt(m), so any lower
+bound s' <= s of the smallest prime factor gives v(m) <= s' + m/s', and
+of two primes dividing m the smaller gives the weaker bound.  A
+composite m with no prime factor below 11 is at least 121, with v(m) <=
+11 + m/11.  For a prime n this asks more than r >= 2n - 4 of every odd
+reversal: r >= 3n - 9 when 3 divides r.
 """
 
 import itertools
@@ -61,8 +72,10 @@ def as_hit(n: int, base: int = 10, budget: int | None = None):
 
 def reversal_and_hit(n: int, base: int = 10, budget: int | None = None):
     """(reverse(n), as_hit(n)): the predicate with the reversal it used.  It
-    filters with both tests of the scanners, so v(r) is factored only when
-    the composite bound (_may_share_v) lets it equal v(n)."""
+    filters with the two tests every scanner applies, so v(r) is factored
+    only when the composite bound (_may_share_v) lets it equal v(n).  It
+    leaves out the prime scanner's _spf_may_share_v, so that tests can
+    check that prune against it."""
     if n < 1:
         raise DomainError(f"the predicate is defined for n >= 1, got {n}")
     _check_base(base)
@@ -116,6 +129,25 @@ def _may_share_v(r, vn):
     return (vn <= r // 2 + 2) | (vn == r)
 
 
+def _spf_may_share_v(r: np.ndarray, vn: np.ndarray, a: int, step: int) -> np.ndarray:
+    """Whether v(r) can equal vn by the smallest-prime-factor bound (module
+    docstring), elementwise over int64 arrays whose every r is a mod step:
+    r = vn, or vn <= q + r//q for a prime q < 11 dividing r, or r >= 121
+    and vn <= 11 + r//11.  Only the entries that fail the last test are
+    tested further, and only they get remainders, by the primes that do not
+    divide step: a prime of step divides every r or none, as it divides a
+    or not."""
+    band = np.flatnonzero((vn > r // 11 + 11) | (r < 121))
+    rb, vb = r[band], vn[band]
+    ok = vb == rb
+    for q in (2, 3, 5, 7):
+        divides = a % q == 0 if step % q == 0 else rb % q == 0
+        ok |= divides & (vb <= rb // q + q)
+    keep = np.ones(r.size, dtype=bool)
+    keep[band] = ok
+    return keep
+
+
 def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
                 canonical: bool) -> list[tuple[int, int, int]]:
     """Hits among n in [lo, lo + len(v_n)) as (n, reversal, shared_v), given
@@ -124,13 +156,16 @@ def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
 
     The window is tiled into aligned blocks n = c*b**j + t; their reversals
     are exactly reverse(c) + s*b**len(c) with s = rev_j(t).  Only the kept
-    n that pass _candidates and _may_share_v are tested.  When keep is None,
-    v_n must be v of every n in the window, and a block whose tested
-    reversals all lie in the window reads their v from v_n (in a shard of
-    whole digit lengths, every block does).  Other blocks get v of their
-    reversals from one _v_terms call on the s they read.  The prime
-    scanner's v_n is v(n) only at its primes, so it passes keep and never
-    reads a reversal from v_n.
+    n that pass _candidates and _may_share_v are tested, and when keep is
+    given, only those that also pass _spf_may_share_v: kept n are sparse,
+    so the reversals it drops narrow the sieve of the rest, while on a
+    block of every n it narrows none.  When keep is None, v_n must be v of
+    every n in the window, and a block whose tested reversals all lie in
+    the window reads their v from v_n (in a shard of whole digit lengths,
+    every block does).  Other blocks get v of their reversals from one
+    _v_terms call on the s they read.  The prime scanner's v_n is v(n)
+    only at its primes, so it passes keep and never reads a reversal from
+    v_n.
     """
     hi = lo + v_n.size - 1
     blocks = list(_aligned_blocks(lo, hi, base))
@@ -147,6 +182,8 @@ def _block_hits(lo: int, v_n: np.ndarray, keep: np.ndarray | None, base: int,
         t = x + (lo - c * s.size)
         n, r, vn = lo + x, a + step * s[t], v_n[x]
         sel = np.flatnonzero(_candidates(n, r, base, canonical) & _may_share_v(r, vn))
+        if keep is not None:
+            sel = sel[_spf_may_share_v(r[sel], vn[sel], a, step)]
         if not sel.size:
             continue
         if keep is None and lo <= (rs := r[sel]).min() and rs.max() <= hi:
@@ -165,22 +202,27 @@ def _shard_hits(lo: int, hi: int, base: int, canonical: bool) -> list[tuple[int,
 
 def _prime_hit_spans(lo: int, hi: int, base: int) -> list[tuple[int, int]]:
     """The parts of [lo, hi] that can hold a prime hit, as (start, end)
-    pairs, ascending, one per digit length.
+    pairs, ascending, adjacent ones merged.
 
-    A prime p is a hit only if its reversal r >= 2p - 4 (module docstring).
-    When p has L digits and leads with d, r has L digits and ends in d, so
-    r <= b**L - b + d.  Since 2p - d grows with p, the L-digit p with
-    2p - 4 <= b**L - b + d form a prefix of the L-digit numbers.  It ends
-    among the numbers led by d*, the largest d whose first number
-    d*b**(L-1) qualifies; in base 10 it ends at 5*10**(L-1) - 1.
+    A prime p with L digits leading with d has a reversal r that ends in d,
+    so r <= b**L - b + d, and v(r) = p needs r composite.  A prime of b
+    divides such an r only if it divides d, so the smallest prime factor of
+    r is at least s_d: the least of 2, 3, 5 and 7 that can divide a number
+    that is d mod b, else 11.  By the smallest-prime-factor bound (module
+    docstring) p <= s_d + (b**L - b + d) // s_d.  In base 10 each length
+    keeps [10**(L-1), 33...34] and [4*10**(L-1), 5*10**(L-1) - 1].
     """
     spans = []
     for L in range(length(lo, base), length(hi, base) + 1):
         low = base ** (L - 1)
-        room = base**L - base + 4  # an L-digit p leading with d needs 2p - d <= room
-        d = min(base - 1, room // (2 * low - 1))
-        x, y = max(lo, low), min(hi, (d + 1) * low - 1, (room + d) // 2)
-        if x <= y:
+        for d in range(max(1, lo // low), min(base - 1, hi // low) + 1):
+            s = next((q for q in (2, 3, 5, 7) if base % q or d % q == 0), 11)
+            x = max(lo, d * low)
+            y = min(hi, (d + 1) * low - 1, s + (base**L - base + d) // s)
+            if x > y:
+                continue
+            if spans and spans[-1][1] + 1 == x:
+                x = spans.pop()[0]
             spans.append((x, y))
     return spans
 

@@ -63,6 +63,21 @@ def oracle_sieve(limit: int) -> list[bool]:
     return flags
 
 
+def oracle_spf_upto(limit: int) -> list[int]:
+    """The smallest prime factor of n for n in 0..limit (n itself at 0, 1
+    and the primes), from the flags of oracle_sieve."""
+    flags = oracle_sieve(limit)
+    spf = list(range(limit + 1))
+    p = 2
+    while p * p <= limit:
+        if flags[p]:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+        p += 1
+    return spf
+
+
 def oracle_is_v_palindrome(n: int, base: int = 10) -> bool:
     if n % base == 0:
         return False

@@ -566,13 +566,28 @@ class TestVerifyCharacterization:
 
         monkeypatch.setattr(palindromes_mod, "_prime_shard_hits", record)
         assert palindromes_mod._brute_force_hits(10**7, 10, 1) == []
-        # the spans of 2..5-digit n below 5*10**(L-1), 6- and 7-digit ones cut
-        # at the multiples of the shard width 10**5, and 10**7 itself
+        # the spans of 2..5-digit n up to 33...34 and from 4*10**(L-1) to
+        # 5*10**(L-1) - 1, 6- and 7-digit ones cut at the multiples of the
+        # shard width 10**5, and 10**7 itself
         width = 10**5
-        expected = [(10, 49), (100, 499), (1000, 4999), (10**4, 49_999)]
-        expected += [(a, a + width - 1) for a in range(10**5, 5 * 10**5, width)]
-        expected += [(a, a + width - 1) for a in range(10**6, 5 * 10**6, width)]
+        expected = []
+        for k in range(1, 7):
+            end = 10 ** (k + 1) // 3 + 1
+            if k < 5:
+                expected += [(10**k, end), (4 * 10**k, 5 * 10**k - 1)]
+                continue
+            cut = end // width * width
+            expected += [(a, a + width - 1) for a in range(10**k, cut, width)] + [(cut, end)]
+            expected += [(a, a + width - 1) for a in range(4 * 10**k, 5 * 10**k, width)]
         assert shards == expected + [(10**7, 10**7)]
+        assert (300_000, 333_334) in shards and (3_300_000, 3_333_334) in shards
+
+    @pytest.mark.parametrize("base", range(2, 37))
+    def test_brute_force_matches_the_predicate_in_every_base(self, base):
+        bound = 2 * 10**4
+        assert palindromes_mod._brute_force_hits(bound, base, 1) == _prime_v_palindromes(bound, base)
+        if base in (10, 16):
+            assert palindromes_mod._brute_force_hits(bound, base, 2) == _prime_v_palindromes(bound, base)
 
     def test_bound_beyond_int64_rejected(self):
         with pytest.raises(DomainError):

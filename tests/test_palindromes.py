@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import oracle_is_v_palindrome, oracle_sieve, oracle_v, oracle_v_upto
+from _oracles import (
+    oracle_is_v_palindrome,
+    oracle_reverse,
+    oracle_sieve,
+    oracle_spf_upto,
+    oracle_v,
+    oracle_v_upto,
+)
 from vpal import arith
 from vpal import palindromes as palindromes_mod
 from vpal import (
@@ -410,30 +418,51 @@ class TestCompositeBound:
         # a prime p passes only against r >= 2p - 4, and against r = p
         assert may(214, 109) and not may(213, 109) and may(109, 109)
 
-    @pytest.mark.parametrize("base", [2, 3, 10, 16, 100])
+    # in base 210 no prime below 11 divides a reversal ending in a digit
+    # coprime to 210
+    @pytest.mark.parametrize("base", [2, 3, 10, 16, 100, 210])
     def test_prime_hit_spans_cover_every_possible_hit(self, base):
         lo, hi = base, 30_000
         spans = palindromes_mod._prime_hit_spans(lo, hi, base)
+        # ascending, and adjacent spans merged
+        assert all(x <= y < u - 1 for (x, y), (u, _) in zip(spans, spans[1:]))
         inside = np.zeros(hi + 1, dtype=bool)
         for x, y in spans:
             inside[x : y + 1] = True
-        # every n with a reversal r >= 2n - 4 lies in a span, and the n just
-        # past each span has none
+        spf = oracle_spf_upto(base ** length(hi, base))
+
+        @functools.lru_cache(maxsize=None)
+        def composites(L, d):
+            # (s, r // s) of each composite r that can reverse an L-digit n
+            # leading with d: r ends in d, and r <= base**L - base + d
+            top = base**L - base + d
+            return [(spf[r], r // spf[r]) for r in range(d, top + 1, base) if spf[r] < r]
+
+        @functools.lru_cache(maxsize=None)
+        def reach(L, d):
+            return max((s + q for s, q in composites(L, d)), default=0)
+
+        # v(r) <= s + r/s (TestSmallestFactorBound), so every n at most
+        # s + r/s for some composite r of its class lies in a span
         for n in range(lo, hi + 1):
-            r = reverse(n, base)
-            if n % base and r != n and r >= 2 * n - 4:
+            L = length(n, base)
+            if n <= reach(L, n // base ** (L - 1)):
                 assert inside[n], n
-        assert [length(x, base) for x, _ in spans] == sorted({length(x, base) for x, _ in spans})
+        # the n just past each span exceeds s + top/s, with s the least
+        # smallest prime factor of a composite of its class (when it has one)
         for _, y in spans:
-            top, n = base ** length(y, base), y + 1
-            if n <= hi and n < top:
-                # top - base + d is the largest reversal of an L-digit n
-                # leading with d
-                assert 2 * n - 4 > top - base + n // (top // base)
+            n, L = y + 1, length(y, base)
+            if n <= hi and n < base**L and composites(L, d := n // base ** (L - 1)):
+                least = min(s for s, _ in composites(L, d))
+                assert n > least + (base**L - base + d) // least, n
 
     def test_prime_hit_spans_base_ten(self):
+        # per length, leading digits 1-3 up to 33...34 (3 divides a reversal
+        # ending in 1 or 3) and 4 whole (2 divides one ending in 4)
         assert palindromes_mod._prime_hit_spans(10, 10**6 - 1, 10) == [
-            (10, 49), (100, 499), (1000, 4999), (10**4, 49_999), (10**5, 499_999)]
+            (10, 34), (40, 49), (100, 334), (400, 499), (1000, 3334), (4000, 4999),
+            (10**4, 33_334), (40_000, 49_999), (10**5, 333_334), (400_000, 499_999)]
+        assert palindromes_mod._prime_hit_spans(333_335, 399_999, 10) == []
         assert palindromes_mod._prime_hit_spans(5 * 10**5, 10**6 - 1, 10) == []
 
     def test_scan_reaches_the_first_prime_hit_of_a_wide_range(self):
@@ -458,3 +487,59 @@ class TestCompositeBound:
             assert any(x <= lo <= hi <= y for x, y in spans), (lo, hi)
             # no n in [5*10**k, 10**(k+1)) has a reversal r >= 2n - 4
             assert not any(5 * 10**k <= lo < 10 ** (k + 1) for k in range(7)), (lo, hi)
+
+
+class TestSmallestFactorBound:
+    """v(m) <= s + m/s for composite m with smallest prime factor s, and
+    the filter the scanners apply with it before they compute v of a
+    reversal."""
+
+    def test_bound_holds_to_a_million(self):
+        limit = 10**6
+        table, spf = oracle_v_upto(limit), oracle_spf_upto(limit)
+        assert all(table[m] <= spf[m] + m // spf[m] for m in range(4, limit + 1) if spf[m] < m)
+        # v(r) always passes the filter when compared with itself
+        r = np.arange(2, limit + 1, dtype=np.int64)
+        vr = np.array(table[2:], dtype=np.int64)
+        assert palindromes_mod._spf_may_share_v(r, vr, 0, 1).all()
+
+    def test_filter_is_tight(self):
+        def may(r, vn):
+            return bool(palindromes_mod._spf_may_share_v(np.array([r]), np.array([vn]), 0, 1)[0])
+
+        # v(15) = 3 + 5, v(25) = 5 + 2 <= 5 + 5, v(6) = 2 + 3
+        assert may(15, 8) and not may(15, 9)
+        assert may(25, 10) and not may(25, 11) and may(6, 5) and not may(6, 7)
+        # 221 = 13*17: the composite bound lets 109 through, this one not,
+        # but v(221) = 30 <= 11 + 221/11 passes
+        assert palindromes_mod._may_share_v(221, 109) and not may(221, 109)
+        assert may(221, 30) and not may(221, 32)
+        # a prime r passes against itself only
+        assert may(109, 109) and not may(109, 108)
+
+    @pytest.mark.parametrize("a,step", [(1, 10), (2, 10), (5, 10), (3, 100), (15, 100),
+                                        (9, 16), (6, 16), (7, 30), (11, 210)])
+    def test_primes_of_the_step_decided_from_a(self, a, step):
+        # the block shortcut agrees with remainders of every term
+        may = palindromes_mod._spf_may_share_v
+        r = a + step * np.arange(3000, dtype=np.int64)
+        vn = np.random.default_rng(step + a).integers(2, r // 2 + 3)
+        assert np.array_equal(may(r, vn, a, step), may(r, vn, 0, 1))
+
+    def test_brute_force_computes_v_only_of_reversals_the_bound_admits(self, monkeypatch):
+        terms = []
+        v_terms = palindromes_mod._v_terms
+
+        def recording(a, step, x):
+            terms.extend((a + step * x).tolist())
+            return v_terms(a, step, x)
+
+        monkeypatch.setattr(palindromes_mod, "_v_terms", recording)
+        assert palindromes_mod._brute_force_hits(10**5, 10, 1) == []
+        spf = oracle_spf_upto(10**5)
+        assert terms
+        for r in terms:
+            # r reverses the prime p; a smallest prime factor above 11
+            # counts as 11
+            p, s = oracle_reverse(r), min(spf[r], 11)
+            assert p <= s + r // s, (p, r)
