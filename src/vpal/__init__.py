@@ -15,6 +15,7 @@ from .anchors import (
     anchor,
     check_anchor,
     converse_identity,
+    iter_anchors,
     search_anchors,
     verify_characterization,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "iota",
     "is_prime",
     "is_v_palindrome",
+    "iter_anchors",
     "length",
     "pair_probability",
     "reverse",

@@ -27,6 +27,7 @@ rounds, because neither q + 1 nor q - 1 is fully factored.
 
 import json
 import os
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 
 # v, spf_sieve and v_with_table are no longer called here, but
@@ -275,35 +276,39 @@ def _append_record(fh, result: AnchorResult, rounds: int) -> None:
     })
 
 
-def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
-                   checkpoint_path: str | None = None,
-                   workers: int = 1) -> list[AnchorResult]:
-    """AnchorResult for every m in [m_lo, m_hi], ascending.
+def iter_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
+                 checkpoint_path: str | None = None, workers: int = 1):
+    """Yield the AnchorResult of every m in [m_lo, m_hi], ascending, each
+    as soon as it is known.
 
     With a checkpoint path, previously recorded indices are loaded instead
-    of recomputed and each fresh result is appended and fsynced before the
-    next one starts, so an interrupted search resumes at the last completed
-    record.  A file that fails validation, or cannot be written, raises
-    CheckpointCorrupt; the search never silently restarts over a damaged
-    file.
+    of recomputed and yielded in their place by m; each fresh result is
+    appended and fsynced before it is yielded, so an interrupted search
+    resumes at the last completed record and every result a caller has
+    seen is already in the file.  A file that fails validation, or cannot
+    be written, raises CheckpointCorrupt; the search never silently
+    restarts over a damaged file.  The arguments and the checkpoint are
+    checked before anything is yielded or the file is opened, that is, at
+    the first next().  Closing the generator early cancels the pending
+    shards and closes the file, which then holds exactly the results
+    yielded.
     """
     if m_lo < 1:
         raise DomainError(f"anchor index must be >= 1, got {m_lo}")
     if m_hi < m_lo:
         raise DomainError(f"empty index range [{m_lo}, {m_hi}]")
     _check_rounds(rounds)
-    results: dict[int, AnchorResult] = {}
+    done: dict[int, AnchorResult] = {}
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        results = _read_checkpoint(checkpoint_path, rounds)
-    # each fresh result's m has already left todo, so adding it cannot skip one
+        done = _read_checkpoint(checkpoint_path, rounds)
     todo = ((m, rounds, p_struck, q_struck)
-            for m, p_struck, q_struck in _index_sieve(m_lo, m_hi) if m not in results)
+            for m, p_struck, q_struck in _index_sieve(m_lo, m_hi) if m not in done)
 
-    fh = None
-    try:
+    with ExitStack() as stack:
+        fh = None
         if checkpoint_path is not None:
             try:
-                fh = open(checkpoint_path, "a", encoding="utf-8")
+                fh = stack.enter_context(open(checkpoint_path, "a", encoding="utf-8"))
             except OSError as exc:
                 raise CheckpointCorrupt(
                     f"cannot write checkpoint {checkpoint_path}: {exc}") from exc
@@ -314,15 +319,25 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
                     "version": _CHECKPOINT_VERSION,
                     "rounds": rounds,
                 })
-        # results arrive in ascending m, so records are appended in order
-        for result in _shard_map(_check_pair, todo, workers):
-            results[result.m] = result
-            if fh is not None:
-                _append_record(fh, result, rounds)
-    finally:
-        if fh is not None:
-            fh.close()
-    return [results[m] for m in range(m_lo, m_hi + 1)]
+        fresh = stack.enter_context(closing(_shard_map(_check_pair, todo, workers)))
+        for m in range(m_lo, m_hi + 1):
+            result = done.get(m)
+            if result is None:
+                # fresh results arrive in ascending m, so records are
+                # appended in order
+                result = next(fresh)
+                if fh is not None:
+                    _append_record(fh, result, rounds)
+            yield result
+
+
+def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
+                   checkpoint_path: str | None = None,
+                   workers: int = 1) -> list[AnchorResult]:
+    """The results of iter_anchors as a list: AnchorResult for every m in
+    [m_lo, m_hi], ascending, with the same checkpoint handling.  Errors
+    are raised at the call."""
+    return list(iter_anchors(m_lo, m_hi, rounds, checkpoint_path, workers))
 
 
 # --- brute-force cross-verification ------------------------------------
@@ -333,13 +348,13 @@ def verify_characterization(bound: int, base: int = 10, workers: int = 1,
 
     The brute-force side is the prime scanner of vpal.palindromes, with
     enumeration's int64 limit (bound < 10**18 in base 10; a larger bound
-    raises DomainError).  The characterization side runs the anchor search
-    over CANDIDATE_FLOOR <= m with larger member p <= bound and collects
-    its candidates; a brute-force hit below the floor would make the report
-    inconsistent, so the floor is checked, not assumed.  The anchor digit
-    form is specific to base 10, so for other bases the characterization
-    side is empty and the report simply exposes whatever the brute force
-    found.
+    raises DomainError).  The characterization side runs iter_anchors over
+    CANDIDATE_FLOOR <= m with larger member p <= bound and collects its
+    candidates as they are yielded, holding no other result; a brute-force
+    hit below the floor would make the report inconsistent, so the floor
+    is checked, not assumed.  The anchor digit form is specific to base 10,
+    so for other bases the characterization side is empty and the report
+    simply exposes whatever the brute force found.
     """
     if bound < 2:
         raise DomainError(f"bound must be >= 2, got {bound}")
@@ -349,6 +364,6 @@ def verify_characterization(bound: int, base: int = 10, workers: int = 1,
     m_max = length((bound + 1) // 5) - 1 if base == 10 else 0
     chars = []
     if m_max >= CANDIDATE_FLOOR:
-        chars = [r.p for r in search_anchors(CANDIDATE_FLOOR, m_max, rounds)
+        chars = [r.p for r in iter_anchors(CANDIDATE_FLOOR, m_max, rounds)
                  if r.is_candidate]
     return VerificationReport(bound, brute, chars, set(brute) == set(chars))

@@ -104,12 +104,15 @@ def _aligned_blocks(lo: int, hi: int, base: int):
 @lru_cache(maxsize=64)
 def _digit_reversal(j: int, base: int) -> np.ndarray:
     """rev_j as an array: t in [0, base**j) -> its j-digit reversal, leading
-    zeros of t included, so rev_j is a permutation of [0, base**j)."""
-    t = np.arange(base**j, dtype=np.int64)
-    out = np.zeros_like(t)
-    for _ in range(j):
-        t, d = np.divmod(t, base)
-        out = out * base + d
+    zeros of t included, so rev_j is a permutation of [0, base**j).
+
+    Built from rev_{j-1}: t = u*base + d reverses to
+    d*base**(j-1) + rev_{j-1}(u), and rev_0 = [0]."""
+    if j == 0:
+        out = np.zeros(1, dtype=np.int64)
+    else:
+        out = np.add.outer(_digit_reversal(j - 1, base),
+                           np.arange(base, dtype=np.int64) * base ** (j - 1)).ravel()
     out.flags.writeable = False
     return out
 

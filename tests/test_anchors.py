@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vpal import (
     check_anchor,
     converse_identity,
     is_v_palindrome,
+    iter_anchors,
     length,
     reverse,
     search_anchors,
@@ -253,6 +255,70 @@ class TestSearchAnchors:
             search_anchors(1, 2, checkpoint_path=str(path))
 
 
+class TestIterAnchors:
+    def _counting_checks(self, monkeypatch):
+        calls = []
+        real = anchors_mod._check_pair
+
+        def counting(m, rounds, p_struck, q_struck):
+            calls.append(m)
+            return real(m, rounds, p_struck, q_struck)
+
+        monkeypatch.setattr(anchors_mod, "_check_pair", counting)
+        return calls
+
+    def test_yields_each_result_before_checking_the_next(self, monkeypatch):
+        calls = self._counting_checks(monkeypatch)
+        results = iter_anchors(1, 5)
+        assert calls == []  # nothing runs before the first next()
+        assert next(results).m == 1
+        assert calls == [1]
+        results.close()
+
+    def test_arguments_checked_at_the_first_next(self, tmp_path):
+        path = tmp_path / "search.ckpt"
+        results = iter_anchors(0, 3, checkpoint_path=str(path))
+        with pytest.raises(DomainError):
+            next(results)
+        assert not path.exists()
+
+    def test_loaded_results_are_yielded_in_their_place(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "search.ckpt")
+        search_anchors(1, 3, checkpoint_path=path)
+        search_anchors(7, 9, checkpoint_path=path)
+        calls = self._counting_checks(monkeypatch)
+        results = iter_anchors(1, 10, checkpoint_path=path)
+        assert [next(results).m for _ in range(3)] == [1, 2, 3]
+        assert calls == []  # the loaded results came before any check
+        rest = list(results)
+        assert [r.m for r in rest] == list(range(4, 11))
+        assert calls == [4, 5, 6, 10]
+        assert search_anchors(1, 3) + rest == search_anchors(1, 10)
+
+    def test_each_yielded_result_is_already_in_the_checkpoint(self, tmp_path):
+        path = tmp_path / "search.ckpt"
+        for count, result in enumerate(iter_anchors(1, 6, checkpoint_path=str(path)),
+                                       start=1):
+            last = json.loads(path.read_text().splitlines()[-1])
+            assert (last["m"], len(path.read_text().splitlines())) == (result.m, count + 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_closed_early_leaves_a_resumable_checkpoint(self, tmp_path, monkeypatch,
+                                                       workers):
+        monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
+        fresh, cut = tmp_path / "fresh.ckpt", tmp_path / "cut.ckpt"
+        search_anchors(1, 45, checkpoint_path=str(fresh))
+        results = iter_anchors(1, 45, checkpoint_path=str(cut), workers=workers)
+        taken = [next(results).m for _ in range(10)]
+        results.close()
+        assert multiprocessing.active_children() == []
+        # the file holds exactly the ten results yielded
+        records = [json.loads(line)["m"] for line in cut.read_text().splitlines()[1:]]
+        assert records == taken == list(range(1, 11))
+        search_anchors(1, 45, checkpoint_path=str(cut), workers=workers)
+        assert cut.read_bytes() == fresh.read_bytes()
+
+
 @functools.lru_cache(maxsize=None)
 def _member_verdicts(m_hi):
     """(m, is_prime(p), is_prime(q)) for m in [1, m_hi], with no sieve."""
@@ -477,13 +543,13 @@ class TestVerifyCharacterization:
         (49999, 4), (10**7, 6)])
     def test_anchors_searched_up_to_the_bound(self, monkeypatch, bound, m_max):
         calls = []
-        real = anchors_mod.search_anchors
+        real = anchors_mod.iter_anchors
 
         def recording(m_lo, m_hi, rounds):
             calls.append((m_lo, m_hi))
             return real(m_lo, m_hi, rounds)
 
-        monkeypatch.setattr(anchors_mod, "search_anchors", recording)
+        monkeypatch.setattr(anchors_mod, "iter_anchors", recording)
         rep = verify_characterization(bound)
         # below the floor no pair is tested
         floor = anchors_mod.CANDIDATE_FLOOR

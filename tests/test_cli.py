@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import multiprocessing
 import subprocess
 import sys
 import tracemalloc
@@ -182,7 +183,7 @@ def test_family_past_the_str_digit_limit(capsys, fmt):
 def test_anchors_table_past_the_str_digit_limit(capsys, monkeypatch):
     big = check_anchor(4)
     big = dataclasses.replace(big, m=5000, p=5 * 10**5000 - 1, q=5 * 10**5000 - 3)
-    monkeypatch.setattr(cli, "search_anchors", lambda *a, **k: [big])
+    monkeypatch.setattr(cli, "iter_anchors", lambda *a, **k: iter([big]))
     code, out, _ = run_cli(capsys, "anchors", "--from", "5000", "--to", "5000")
     assert code == 0
     assert out.startswith(f"m=5000 p=4{'9' * 5000} [prime] q=4{'9' * 4999}7 ")
@@ -214,6 +215,97 @@ def test_anchors_checkpoint_corrupt_exit(tmp_path, capsys):
     )
     assert code == 2
     assert "checkpoint" in err or "ck.jsonl" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "jsonl", "csv"])
+def test_anchors_damaged_checkpoint_prints_nothing(tmp_path, capsys, fmt):
+    # the records before the torn line are valid, but none is printed
+    path = tmp_path / "ck.jsonl"
+    assert main(["anchors", "--from", "1", "--to", "3", "--checkpoint", str(path)]) == 0
+    with open(path, "a") as fh:
+        fh.write('{"record": "result", "m": 4')
+    data = path.read_bytes()
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "anchors", "--from", "1", "--to", "5",
+                             "--checkpoint", str(path), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "line 5 is unreadable" in err
+    assert path.read_bytes() == data
+
+
+def test_anchors_failed_checkpoint_write_keeps_the_records_before_it(
+        tmp_path, capsys, monkeypatch):
+    fsyncs = []
+    real = anchors_mod.os.fsync
+
+    def full_disk_at_the_fourth(fd):
+        fsyncs.append(fd)
+        if len(fsyncs) == 4:  # the header, then the records of m = 1, 2, 3
+            raise OSError(28, "No space left on device")
+        real(fd)
+
+    monkeypatch.setattr(anchors_mod.os, "fsync", full_disk_at_the_fourth)
+    code, out, err = run_cli(capsys, "anchors", "--from", "1", "--to", "5",
+                             "--checkpoint", str(tmp_path / "ck.jsonl"))
+    assert code == 2
+    assert [line.split()[0] for line in out.splitlines()] == ["m=1", "m=2"]
+    assert "cannot write checkpoint" in err
+
+
+def test_anchors_first_record_precedes_the_second_check(monkeypatch):
+    events = []
+    real = anchors_mod._check_pair
+
+    def recording(m, *args):
+        events.append(("check", m))
+        return real(m, *args)
+
+    class Stdout(io.StringIO):
+        def write(self, s):
+            events.append(("write", s.split()[0]))
+            return super().write(s)
+
+    monkeypatch.setattr(anchors_mod, "_check_pair", recording)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["anchors", "--from", "1", "--to", "3", "--threads", "1"]) == 0
+    assert events == [("check", 1), ("write", "m=1"), ("check", 2),
+                      ("write", "m=2"), ("check", 3), ("write", "m=3")]
+
+
+class _ReaderLeavesAfter(io.StringIO):
+    """A stdout whose reader goes away after k writes; fileno is a real
+    descriptor for main to point at devnull."""
+
+    def __init__(self, k, fd):
+        super().__init__()
+        self.k, self.fd = k, fd
+
+    def write(self, s):
+        if self.k == 0:
+            raise BrokenPipeError
+        self.k -= 1
+        return super().write(s)
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_anchors_closed_pipe_stops_the_search(tmp_path, monkeypatch, threads):
+    monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
+    path = tmp_path / "ck.jsonl"
+    with open(tmp_path / "stdout", "w") as fh:
+        stdout = _ReaderLeavesAfter(3, fh.fileno())
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["anchors", "--from", "1", "--to", "60", "--threads", threads,
+                     "--checkpoint", str(path)])
+    assert code == 1
+    assert multiprocessing.active_children() == []
+    assert [line.split()[0] for line in stdout.getvalue().splitlines()] == [
+        "m=1", "m=2", "m=3"]
+    # the fourth result was checkpointed before its write failed
+    records = [json.loads(line)["m"] for line in path.read_text().splitlines()[1:]]
+    assert records == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
@@ -605,6 +697,38 @@ def test_closed_pipe_exits_quietly(fmt, threads):
         env=env,
     )
     assert _leave_after_two_lines(proc) == (FIRST_TWO_LINES[fmt], 1, b"")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_anchors_closed_pipe_exits_quietly(tmp_path, threads):
+    # `vpal anchors ... | head -2`: the search stops with the pipe, and its
+    # checkpoint holds the indices from the first on, in order.  The table
+    # to m = 400 is about 180 kB, more than a pipe holds unread, so the
+    # search cannot finish before the reader leaves.
+    path = tmp_path / "ck.jsonl"
+    env = subprocess_env()
+    env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vpal", "anchors", "--from", "1", "--to", "400",
+         "--checkpoint", str(path), "--threads", threads],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    try:
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()  # a search the pipe did not stop would run for minutes
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (lines, code, err) == (
+        [b"m=1 p=49 [composite] q=47 [prime] candidate=no\n",
+         b"m=2 p=499 [prime] q=497 [composite] candidate=no\n"], 1, b"")
+    records = [json.loads(line)["m"] for line in path.read_text().splitlines()[1:]]
+    assert records == list(range(1, len(records) + 1))
+    assert 2 <= len(records) < 400
 
 
 def test_export_closed_pipe_exits_quietly(tmp_path):

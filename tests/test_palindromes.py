@@ -352,6 +352,20 @@ class TestEnumerate:
         assert inline_pool == [3]
         results.close()
 
+    @pytest.mark.parametrize("base", range(2, 37))
+    def test_digit_reversal_matches_a_digit_loop(self, base):
+        for j in range(4 if base <= 16 else 3):
+            table = palindromes_mod._digit_reversal(j, base)
+            expected = []
+            for t in range(base**j):
+                rev = 0
+                for _ in range(j):
+                    t, d = divmod(t, base)
+                    rev = rev * base + d
+                expected.append(rev)
+            assert table.dtype == np.int64 and not table.flags.writeable
+            assert table.tolist() == expected
+
     def test_reversal_image_beyond_int64_rejected(self):
         with pytest.raises(DomainError):
             list(enumerate_v_palindromes(10**18, 10**18 + 5))
@@ -466,10 +480,20 @@ class TestCompositeBound:
         assert palindromes_mod._prime_hit_spans(5 * 10**5, 10**6 - 1, 10) == []
 
     def test_scan_reaches_the_first_prime_hit_of_a_wide_range(self):
+        # a prune that loses 109 fails at the next shard, instead of
+        # scanning on toward 16**12
+        shards = []
+
+        def bounded(lo, hi, base):
+            assert lo <= 109, f"the scan passed 109 after the shards {shards}"
+            shards.append((lo, hi))
+            return palindromes_mod._prime_shard_hits(lo, hi, base)
+
         spans = palindromes_mod._prime_hit_spans(16, 16**12, 16)
-        hits = palindromes_mod._scan(palindromes_mod._prime_shard_hits, spans, 16, 1)
+        hits = palindromes_mod._scan(bounded, spans, 16, 1)
         assert next(hits) == 109
         hits.close()
+        assert shards[-1][0] <= 109 <= shards[-1][1]
 
     def test_brute_force_sieves_only_inside_the_prime_hit_spans(self, monkeypatch):
         windows = []
