@@ -23,6 +23,10 @@ count as certainty: a prime passes every round, so that is the verdict
 the rounds would give, and records and checkpoints stay as they were.
 Only an unproven p runs the rounds.  The smaller member q keeps its
 rounds, because neither q + 1 nor q - 1 is fully factored.
+
+A checkpoint holds the lines _header and _result_record write, and its
+reader accepts exactly those, matching each line against the re-encoding
+of what it decodes; nothing is computed from a line outside the range.
 """
 
 import json
@@ -101,7 +105,7 @@ def _check_pair(m: int, rounds: int, p_struck: bool,
                 q_struck: bool) -> AnchorResult:
     """The pair check at m, with a struck member judged composite untested."""
     p, q = anchor(m)
-    return _anchor_result(m, _STRUCK if p_struck else _p_verdict(p, rounds),
+    return _anchor_result(m, p, q, _STRUCK if p_struck else _p_verdict(p, rounds),
                           _STRUCK if q_struck else is_prime(q, rounds))
 
 
@@ -121,11 +125,10 @@ def _p_verdict(p: int, rounds: int) -> PrimalityVerdict:
     return is_prime(p, rounds)
 
 
-def _anchor_result(m: int, p_verdict: PrimalityVerdict,
+def _anchor_result(m: int, p: int, q: int, p_verdict: PrimalityVerdict,
                    q_verdict: PrimalityVerdict) -> AnchorResult:
-    """The AnchorResult at m for the given verdicts: a candidate when m meets
-    CANDIDATE_FLOOR and neither member is composite."""
-    p, q = anchor(m)
+    """The AnchorResult at m, whose pair is (p, q), for the given verdicts: a
+    candidate when m meets CANDIDATE_FLOOR and neither member is composite."""
     meets = m >= CANDIDATE_FLOOR
     cand = meets and p_verdict.non_composite and q_verdict.non_composite
     return AnchorResult(m, p, q, p_verdict, q_verdict, meets, cand)
@@ -177,37 +180,55 @@ def _index_sieve(m_lo: int, m_hi: int):
 
 # --- checkpointed search ------------------------------------------------
 
-_CHECKPOINT_FORMAT = "vpal-anchor-search"
-_CHECKPOINT_VERSION = 1
+def _header(rounds: int) -> dict:
+    """The first line of a checkpoint written with these rounds."""
+    return {"record": "header", "format": "vpal-anchor-search", "version": 1,
+            "rounds": rounds}
 
 
-_STATUSES = ("prime", "composite", "probable_prime")
+def _result_record(m: int, p_verdict: PrimalityVerdict,
+                   q_verdict: PrimalityVerdict, rounds: int) -> dict:
+    """The checkpoint line of the pair verdicts at m."""
+    return {"record": "result", "m": m,
+            "p_status": p_verdict.status, "p_certainty": p_verdict.certainty,
+            "q_status": q_verdict.status, "q_certainty": q_verdict.certainty,
+            "rounds": rounds}
 
 
-def _verdict_from_record(rec: dict, side: str, rounds: int) -> PrimalityVerdict:
-    status, certainty = rec[f"{side}_status"], rec[f"{side}_certainty"]
-    if status not in _STATUSES:
-        raise ValueError(f"unknown {side}_status {status!r}")
-    expected = rounds if status == "probable_prime" else 0
-    if type(certainty) is not int or certainty != expected:
-        raise ValueError(
-            f"{side}_certainty {certainty!r} does not fit status {status!r}"
-        )
-    return PrimalityVerdict(status, certainty)
+def _misfit(rec: dict, expected: dict) -> str | None:
+    """The first key of expected whose value in rec differs in type or value
+    (for the str and int values written, in JSON text: 1.0, "1" and true
+    are not 1), or None; other keys of rec are ignored."""
+    return next((key for key, want in expected.items()
+                 if type(rec.get(key)) is not type(want) or rec.get(key) != want),
+                None)
 
 
-def _result_from_record(rec: dict, rounds: int) -> AnchorResult:
-    m = rec["m"]
+def _decode(rec: dict, rounds: int) -> tuple[int, tuple]:
+    """(m, (p_verdict, q_verdict)) from a result line that holds, with the
+    same JSON text, every value _result_record writes for them."""
+    m = rec.get("m")
     if type(m) is not int or m < 1:
         raise ValueError(f"anchor index must be an integer >= 1, got {m!r}")
-    if type(rec["rounds"]) is not int or rec["rounds"] != rounds:
-        raise ValueError(f"record rounds {rec['rounds']!r} differ from the header's")
-    return _anchor_result(m, _verdict_from_record(rec, "p", rounds),
-                          _verdict_from_record(rec, "q", rounds))
+    verdicts = (PrimalityVerdict("prime"), PrimalityVerdict("composite"),
+                PrimalityVerdict("probable_prime", rounds))
+    pair = []
+    for key in ("p_status", "q_status"):
+        found = [v for v in verdicts if v.status == rec.get(key)]
+        if not found:
+            raise ValueError(f"{key} {rec.get(key)!r} is not a verdict")
+        pair += found
+    expected = _result_record(m, *pair, rounds)
+    key = _misfit(rec, expected)
+    if key is not None:
+        raise ValueError(
+            f"{key} {rec.get(key)!r} does not fit (expected {expected[key]!r})")
+    return m, tuple(pair)
 
 
-def _read_checkpoint(path: str, rounds: int) -> dict[int, AnchorResult]:
-    done: dict[int, AnchorResult] = {}
+def _read_checkpoint(path: str, rounds: int) -> dict[int, tuple]:
+    """The (p_verdict, q_verdict) of each index recorded at path, by m."""
+    done: dict[int, tuple] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -219,33 +240,24 @@ def _read_checkpoint(path: str, rounds: int) -> dict[int, AnchorResult]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CheckpointCorrupt(f"{path}: unreadable header line") from exc
-    if (
-        not isinstance(header, dict)
-        or header.get("record") != "header"
-        or header.get("format") != _CHECKPOINT_FORMAT
-    ):
-        raise CheckpointCorrupt(f"{path}: not an anchor-search checkpoint")
-    version = header.get("version")
-    if type(version) is not int or version != _CHECKPOINT_VERSION:
+    key = _misfit(header, _header(rounds)) if isinstance(header, dict) else "record"
+    if key == "version":
         raise CheckpointCorrupt(
-            f"{path}: unsupported checkpoint version {version!r}"
-        )
-    if type(header.get("rounds")) is not int or header["rounds"] != rounds:
+            f"{path}: unsupported checkpoint version {header.get('version')!r}")
+    if key == "rounds":
         raise CheckpointCorrupt(
             f"{path}: checkpoint was written with rounds={header.get('rounds')!r}, "
-            f"requested rounds={rounds}; refusing to mix verdicts"
-        )
+            f"requested rounds={rounds}; refusing to mix verdicts")
+    if key is not None:
+        raise CheckpointCorrupt(f"{path}: not an anchor-search checkpoint")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-            if rec.get("record") != "result":
-                raise ValueError("unknown record type")
-            result = _result_from_record(rec, rounds)
-            if done.setdefault(result.m, result) != result:
-                raise ValueError(f"conflicting duplicate record for m={result.m}")
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            m, pair = _decode(json.loads(line), rounds)
+            if done.setdefault(m, pair) != pair:
+                raise ValueError(f"conflicting duplicate record for m={m}")
+        except (ValueError, AttributeError) as exc:
             raise CheckpointCorrupt(
                 f"{path}: line {lineno} is unreadable ({exc}); "
                 "refusing to resume from a damaged checkpoint"
@@ -262,18 +274,6 @@ def _write_durably(fh, rec: dict) -> None:
         os.fsync(fh.fileno())
     except OSError as exc:
         raise CheckpointCorrupt(f"cannot write checkpoint {fh.name}: {exc}") from exc
-
-
-def _append_record(fh, result: AnchorResult, rounds: int) -> None:
-    _write_durably(fh, {
-        "record": "result",
-        "m": result.m,
-        "p_status": result.p_verdict.status,
-        "p_certainty": result.p_verdict.certainty,
-        "q_status": result.q_verdict.status,
-        "q_certainty": result.q_verdict.certainty,
-        "rounds": rounds,
-    })
 
 
 def iter_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
@@ -298,7 +298,7 @@ def iter_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
     if m_hi < m_lo:
         raise DomainError(f"empty index range [{m_lo}, {m_hi}]")
     _check_rounds(rounds)
-    done: dict[int, AnchorResult] = {}
+    done: dict[int, tuple] = {}
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         done = _read_checkpoint(checkpoint_path, rounds)
     todo = ((m, rounds, p_struck, q_struck)
@@ -313,21 +313,18 @@ def iter_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
                 raise CheckpointCorrupt(
                     f"cannot write checkpoint {checkpoint_path}: {exc}") from exc
             if fh.tell() == 0:  # a new or empty file
-                _write_durably(fh, {
-                    "record": "header",
-                    "format": _CHECKPOINT_FORMAT,
-                    "version": _CHECKPOINT_VERSION,
-                    "rounds": rounds,
-                })
+                _write_durably(fh, _header(rounds))
         fresh = stack.enter_context(closing(_shard_map(_check_pair, todo, workers)))
         for m in range(m_lo, m_hi + 1):
-            result = done.get(m)
-            if result is None:
+            if m in done:
+                result = _anchor_result(m, *anchor(m), *done[m])
+            else:
                 # fresh results arrive in ascending m, so records are
                 # appended in order
                 result = next(fresh)
                 if fh is not None:
-                    _append_record(fh, result, rounds)
+                    _write_durably(fh, _result_record(
+                        m, result.p_verdict, result.q_verdict, rounds))
             yield result
 
 

@@ -516,6 +516,111 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointCorrupt):
             search_anchors(1, 5, checkpoint_path=path)
 
+    @pytest.mark.parametrize("rounds,changes,message", [
+        (64, {"p_status": "bogus", "q_status": "bogus"}, "p_status 'bogus' is not a verdict"),
+        (64, {"q_status": "bogus"}, "q_status 'bogus' is not a verdict"),
+        (64, {"q_status": ["prime"]}, r"q_status \['prime'\] is not a verdict"),
+        (64, {"p_status": "prime", "p_certainty": 64},
+         r"p_certainty 64 does not fit \(expected 0\)"),
+        (64, {"p_status": "composite", "p_certainty": 3},
+         r"p_certainty 3 does not fit \(expected 0\)"),
+        (64, {"p_status": "probable_prime", "p_certainty": 0},
+         r"p_certainty 0 does not fit \(expected 64\)"),
+        (64, {"p_status": "probable_prime", "p_certainty": 8},
+         r"p_certainty 8 does not fit \(expected 64\)"),
+        (64, {"p_status": "prime", "p_certainty": "0"},
+         r"p_certainty '0' does not fit \(expected 0\)"),
+        (64, {"q_certainty": "0"}, r"q_certainty '0' does not fit \(expected 0\)"),
+        (64, {"p_certainty": None}, r"p_certainty None does not fit \(expected 0\)"),
+        (64, {"rounds": 8}, r"rounds 8 does not fit \(expected 64\)"),
+        (64, {"rounds": 64.0}, r"rounds 64.0 does not fit \(expected 64\)"),
+        (1, {"rounds": True}, r"rounds True does not fit \(expected 1\)"),
+        (64, {"record": "header"}, r"record 'header' does not fit \(expected 'result'\)"),
+        *[(64, {"m": m}, f"anchor index must be an integer >= 1, got {m!r}")
+          for m in ("5", 5.0, True, None, 0, -3)],
+        (64, {"m": 4, "q_status": "prime"}, "conflicting duplicate record for m=4"),
+    ])
+    def test_refusal_names_the_field(self, tmp_path, rounds, changes, message):
+        path = _tampered(tmp_path, search_rounds=rounds, **{"m": 5, **changes})
+        with pytest.raises(CheckpointCorrupt, match=f"line 6 is unreadable \\({message}\\)"):
+            search_anchors(1, 5, rounds=rounds, checkpoint_path=path)
+
+    @pytest.mark.parametrize("line", [0, -1], ids=["header", "result"])
+    def test_every_field_mutation_is_refused(self, tmp_path, line):
+        # the reader accepts a value only where it has the JSON text the
+        # writer gives it, so each of these is refused, the key removed too
+        path = tmp_path / "search.ckpt"
+        search_anchors(1, 4, checkpoint_path=str(path))
+        lines = path.read_text().splitlines()
+        fresh = search_anchors(1, 4)
+        removed = object()
+        rec = json.loads(lines[line])
+        outcomes, expected = [], []
+        for key in rec:
+            for new in (True, 1.0, "1", None, -1, [1], removed):
+                changed = dict(rec)
+                if new is removed:
+                    del changed[key]
+                else:
+                    changed[key] = new
+                tampered = list(lines)
+                tampered[line] = json.dumps(changed)
+                data = ("\n".join(tampered) + "\n").encode()
+                path.write_bytes(data)
+                try:
+                    outcome = search_anchors(1, 4, checkpoint_path=str(path)) == fresh
+                except CheckpointCorrupt:
+                    outcome = "refused"
+                outcomes.append((key, repr(new), outcome, path.read_bytes() == data))
+                same = new is not removed and json.dumps(new) == json.dumps(rec[key])
+                expected.append((key, repr(new), True if same else "refused", True))
+        assert outcomes == expected
+
+    def test_every_line_round_trips_through_the_encoders(self, tmp_path):
+        # 1..60 crosses the sieve start, so struck members are in the file
+        assert any(p or q for _m, p, q in anchors_mod._index_sieve(1, 60))
+        path = tmp_path / "search.ckpt"
+        search_anchors(1, 60, checkpoint_path=str(path))
+        header, *records = path.read_text().splitlines()
+        assert json.dumps(anchors_mod._header(64)) == header
+        indices = []
+        for line in records:
+            m, pair = anchors_mod._decode(json.loads(line), 64)
+            assert json.dumps(anchors_mod._result_record(m, *pair, 64)) == line
+            indices.append(m)
+        assert indices == list(range(1, 61))
+
+    def test_lines_outside_the_range_are_validated_not_computed(self, tmp_path,
+                                                                monkeypatch):
+        # a 4001-digit index still parses under the int str-digit limit; its
+        # pair would have 4001 digits, so it must not be built
+        fresh = search_anchors(1, 3)
+        path = tmp_path / "search.ckpt"
+        search_anchors(1, 2, checkpoint_path=str(path))
+        rec = json.loads(path.read_text().splitlines()[-1])
+        far = [json.dumps({**rec, "m": m}) for m in (10**12, 10**4000)]
+        with open(path, "a") as fh:
+            fh.write("\n".join(far) + "\n")
+        before = path.read_text().splitlines()
+        real = anchors_mod.anchor
+
+        def bounded(m):
+            if m > 10**6:
+                raise AssertionError("an index outside the range was computed")
+            return real(m)
+
+        monkeypatch.setattr(anchors_mod, "anchor", bounded)
+        assert search_anchors(1, 3, checkpoint_path=str(path)) == fresh
+        after = path.read_text().splitlines()
+        assert after[:len(before)] == before and after[3:5] == far
+        assert [json.loads(line)["m"] for line in after[5:]] == [3]
+        # a conflicting duplicate of a far line is still refused
+        with open(path, "a") as fh:
+            fh.write(json.dumps({**rec, "m": 10**12, "q_status": "prime"}) + "\n")
+        with pytest.raises(CheckpointCorrupt,
+                           match=f"conflicting duplicate record for m={10**12}"):
+            search_anchors(1, 3, checkpoint_path=str(path))
+
 
 class TestVerifyCharacterization:
     def test_small_bounds_empty_and_consistent(self):
