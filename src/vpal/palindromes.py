@@ -27,6 +27,8 @@ reversal: r >= 3n - 9 when 3 divides r.
 
 import itertools
 import os
+import time
+import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -43,6 +45,11 @@ from .errors import DomainError
 SHARD_SIZE = 1 << 17
 
 _MODES = ("all", "canonical")
+
+# A batch of shards is sized to take this long in a worker.  verify --bound
+# 10^9 at 2 workers (Intel Xeon) took 3.9-4.1 s at 20 to 80 ms, 5.5 s at 2.5 ms
+# and 5.2-5.9 s at a shard a task; the last batch runs alone, so 20 ms it is.
+_BATCH_TARGET_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -256,17 +263,34 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _run_batch(fn, batch):
+    """(results, seconds, error): fn(*shard) for the shards of batch up to
+    the first that raises, the seconds taken, and None or that shard's
+    exception with its traceback as text."""
+    start, results, error = time.perf_counter(), [], None
+    try:
+        for shard in batch:
+            results.append(fn(*shard))
+    except Exception as exc:  # handed back after the results before it
+        error = exc, traceback.format_exc()
+    return results, time.perf_counter() - start, error
+
+
 def _shard_map(fn, shards, workers: int):
-    """fn(*shard) for every shard of an iterable, yielded in shard order.
+    """fn(*shard) for every shard of an iterable, yielded in shard order;
+    an exception fn raises propagates after the shards before it.
 
     The workers are capped at the CPUs this process may run on (the pool
     forks all of them at its first submit), then at the shards: at most
     that many are read to size the pool, so a single shard runs in process.
-    With more than one worker left, the shards run in a process pool.  New
-    shards are read and submitted only while the generator runs, and at
-    most two per worker are submitted and unfinished at a time; a slow
-    shard does not stall the rest, whose results wait for it in order.
-    Closing the generator cancels the shards not yet started.
+    With more than one worker left, batches of consecutive shards run in a
+    process pool, one task each.  The first batches hold one shard; later
+    ones take _BATCH_TARGET_S at the time per shard of the slowest batch
+    that finished last, and at most double the batch before.  New shards
+    are read and submitted only while the generator runs, and at most two
+    batches per worker are submitted and unfinished at a time; a slow batch
+    does not stall the rest, whose results wait for it in order.  Closing
+    the generator cancels the batches not yet started.
     """
     shards = iter(shards)
     head = list(itertools.islice(shards, max(1, min(workers, _usable_cpus()))))
@@ -276,23 +300,35 @@ def _shard_map(fn, shards, workers: int):
             yield fn(*shard)
         return
     workers = len(head)
+    size = 1  # shards per batch
     pending = deque()  # submitted, not yet yielded, in shard order
     running = set()  # submitted, not yet finished
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         while True:
-            running = {f for f in running if not f.done()}
-            for shard in itertools.islice(queue, 2 * workers - len(running)):
-                pending.append(pool.submit(fn, *shard))
+            finished = {f for f in running if f.done()}
+            running -= finished
+            fits = [int(_BATCH_TARGET_S * len(done) / max(seconds, 1e-9))
+                    for done, seconds, _ in (f.result() for f in finished if not f.exception())]
+            if fits:
+                size = max(1, min(2 * size, *fits))
+            for _ in range(2 * workers - len(running)):
+                batch = list(itertools.islice(queue, size))
+                if not batch:
+                    break
+                pending.append(pool.submit(_run_batch, fn, batch))
                 running.add(pending[-1])
             if not pending:
                 return
             if pending[0].done():
-                yield pending.popleft().result()
+                results, _, error = pending.popleft().result()
+                yield from results
+                if error is not None:
+                    raise error[0] from RuntimeError(f"in a pool worker:\n{error[1]}")
             else:
                 wait(running, return_when=FIRST_COMPLETED)
     finally:
-        # an abandoned generator must not wait for the remaining shards
+        # an abandoned generator must not wait for the remaining batches
         pool.shutdown(cancel_futures=True)
 
 

@@ -49,6 +49,43 @@ class CountedShards(list):
             yield shard
 
 
+def _sleep_then(i, seconds):
+    """Shard i, at the cost of a sleep."""
+    time.sleep(seconds)
+    return i
+
+
+def _fail_at(i, k):
+    """Shard i, which raises at shard k."""
+    if i == k:
+        raise ValueError(f"shard {k} failed")
+    return i
+
+
+def _drain(results):
+    """The items of results up to the ValueError that ends them, and its
+    arguments."""
+    items = []
+    with pytest.raises(ValueError) as info:
+        for item in results:
+            items.append(item)
+    return items, info.value.args
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """Records the size of every batch the shard map sends to its pool."""
+    sizes = []
+    run_batch = palindromes_mod._run_batch
+
+    def recorded(fn, batch):
+        sizes.append(len(batch))
+        return run_batch(fn, batch)
+
+    monkeypatch.setattr(palindromes_mod, "_run_batch", recorded)
+    return sizes
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Replaces the process pool with one that runs each shard at submit;
@@ -331,6 +368,57 @@ class TestEnumerate:
         # the second worker went on while the first shard slept
         assert shards.taken > 2 * 2 + 1
         assert len(list(results)) == 39
+
+    @pytest.mark.parametrize("k", [0, 1, 6, 23, 39])
+    def test_shard_map_raises_after_the_same_prefix(self, monkeypatch, k):
+        shards = [(i, k) for i in range(40)]
+        alone = _drain(palindromes_mod._shard_map(_fail_at, shards, 1))
+        assert alone == (list(range(k)), (f"shard {k} failed",))
+        monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
+        assert _drain(palindromes_mod._shard_map(_fail_at, shards, 2)) == alone
+
+    def test_run_batch_returns_the_results_before_an_error(self):
+        batch = [(i, 2) for i in range(4)]
+        done, seconds, (error, trace) = palindromes_mod._run_batch(_fail_at, batch)
+        assert done == [0, 1] and seconds >= 0
+        assert isinstance(error, ValueError) and error.args == ("shard 2 failed",)
+        assert "in _fail_at" in trace and trace.endswith("ValueError: shard 2 failed\n")
+        assert palindromes_mod._run_batch(_fail_at, [(0, 5), (1, 5)])[::2] == ([0, 1], None)
+
+    def test_shard_map_sizes_batches_by_their_time(self, monkeypatch, inline_pool, batch_sizes):
+        monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
+        slow = 90  # a shard 200 times dearer than the rest
+        shards = [(i, 0.1 if i == slow else 0.0005) for i in range(300)]
+        assert list(palindromes_mod._shard_map(_sleep_then, shards, 2)) == list(range(300))
+        sizes = batch_sizes
+        # nothing is timed before the first two batches per worker are sent
+        assert sizes[:4] == [1, 1, 1, 1]
+        assert all(b <= 2 * a for a, b in zip(sizes, sizes[1:]))
+        # a shard sleeps at least 0.5 ms, so no batch of them outlasts the target
+        assert 4 <= max(sizes) <= palindromes_mod._BATCH_TARGET_S / 0.0005
+        # the batch that holds the slow shard, once timed, sizes the next
+        # ones down; the inline pool sends three more before it times them
+        k = next(i for i, end in enumerate(itertools.accumulate(sizes)) if end > slow)
+        assert sizes[k] >= 2
+        assert min(sizes[k + 1:k + 5]) < sizes[k]
+
+    def test_shard_map_reads_no_shard_while_suspended(self, monkeypatch, inline_pool,
+                                                      batch_sizes):
+        monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
+        shards = CountedShards((i, 0.0005) for i in range(400))
+        results = palindromes_mod._shard_map(_sleep_then, shards, 2)
+        assert next(results) == 0
+        # two batches of one shard per worker before any batch is timed
+        assert shards.taken == 4
+        time.sleep(0.05)
+        assert shards.taken == 4
+        # suspended inside the first batch of two
+        assert [next(results) for _ in range(5)] == [1, 2, 3, 4, 5]
+        assert batch_sizes[4] == 2
+        taken = shards.taken
+        time.sleep(0.05)
+        assert shards.taken == taken < 400
+        assert list(results) == list(range(6, 400))
 
     def test_shard_map_caps_workers_at_the_cpus(self, monkeypatch, inline_pool):
         sizes = inline_pool
