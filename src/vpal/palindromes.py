@@ -26,11 +26,13 @@ reversal: r >= 3n - 9 when 3 divides r.
 """
 
 import itertools
+import multiprocessing.util
 import os
 import time
 import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -276,6 +278,49 @@ def _run_batch(fn, batch):
     return results, time.perf_counter() - start, error
 
 
+# The pool that the last _shard_map call to finish left idle, if any, keyed
+# by (the pid that made it, its worker count); the next call at that count
+# takes it, so a process forks its workers once per worker count.  A call
+# takes a pool out with dict.pop, which is atomic, so two threads never
+# share one; there is no lock, which a fork could leave held in the child.
+_idle = {}
+_exit_hook_pid = None
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool of this many workers for one _shard_map call: the idle
+    one made in this process at this count, else a new one, after the idle
+    pool is shut down.  A pool inherited through fork is never used, as its
+    manager thread runs only in the parent.  A worker that died while the
+    pool sat idle breaks it within milliseconds, and the first submit to a
+    broken pool raises, so such a pool is replaced here."""
+    global _exit_hook_pid
+    pool = _idle.pop((os.getpid(), workers), None)
+    if pool is not None:
+        try:
+            pool.submit(int)
+            return pool
+        except BrokenProcessPool:
+            pool.shutdown()
+    _drop_idle()
+    if _exit_hook_pid != os.getpid():
+        # a multiprocessing child joins its children at exit before the
+        # pool's own exit hook would stop them, and closes its queues (at
+        # exit priority 10) first, so stop them before that
+        multiprocessing.util.Finalize(None, _drop_idle, exitpriority=20)
+        _exit_hook_pid = os.getpid()
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def _drop_idle() -> None:
+    """Shut down the idle pool made in this process, and forget one
+    inherited through fork without touching it."""
+    for key in list(_idle):
+        pool = _idle.pop(key, None)
+        if pool is not None and key[0] == os.getpid():
+            pool.shutdown()
+
+
 def _shard_map(fn, shards, workers: int):
     """fn(*shard) for every shard of an iterable, yielded in shard order;
     an exception fn raises propagates after the shards before it.
@@ -289,8 +334,11 @@ def _shard_map(fn, shards, workers: int):
     that finished last, and at most double the batch before.  New shards
     are read and submitted only while the generator runs, and at most two
     batches per worker are submitted and unfinished at a time; a slow batch
-    does not stall the rest, whose results wait for it in order.  Closing
-    the generator cancels the batches not yet started.
+    does not stall the rest, whose results wait for it in order.  A call
+    that yields every shard leaves its pool (_pool) idle for the next, in
+    place of any other idle pool.  A call that stops early (the generator
+    closed, a shard raising, a broken pool, an interrupt) cancels the
+    batches not yet started and shuts its pool down.
     """
     shards = iter(shards)
     head = list(itertools.islice(shards, max(1, min(workers, _usable_cpus()))))
@@ -303,7 +351,7 @@ def _shard_map(fn, shards, workers: int):
     size = 1  # shards per batch
     pending = deque()  # submitted, not yet yielded, in shard order
     running = set()  # submitted, not yet finished
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = _pool(workers)
     try:
         while True:
             finished = {f for f in running if f.done()}
@@ -319,7 +367,7 @@ def _shard_map(fn, shards, workers: int):
                 pending.append(pool.submit(_run_batch, fn, batch))
                 running.add(pending[-1])
             if not pending:
-                return
+                break
             if pending[0].done():
                 results, _, error = pending.popleft().result()
                 yield from results
@@ -327,9 +375,12 @@ def _shard_map(fn, shards, workers: int):
                     raise error[0] from RuntimeError(f"in a pool worker:\n{error[1]}")
             else:
                 wait(running, return_when=FIRST_COMPLETED)
-    finally:
+    except BaseException:
         # an abandoned generator must not wait for the remaining batches
         pool.shutdown(cancel_futures=True)
+        raise
+    _drop_idle()  # a pool another call left idle meanwhile
+    _idle[os.getpid(), workers] = pool
 
 
 def _scan(fn, spans, base: int, workers: int, *args):

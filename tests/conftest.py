@@ -2,6 +2,10 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
+from vpal import palindromes
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -10,6 +14,16 @@ def subprocess_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+@pytest.fixture
+def no_idle_pool():
+    """Shuts down the shard pool that an earlier call left idle, before the
+    test and after it: the test starts with no pool worker alive, and no
+    pool it leaves idle (a stand-in included) reaches a later test."""
+    palindromes._drop_idle()
+    yield
+    palindromes._drop_idle()
 
 
 def pytest_runtest_logreport(report):

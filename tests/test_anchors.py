@@ -304,7 +304,7 @@ class TestIterAnchors:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_closed_early_leaves_a_resumable_checkpoint(self, tmp_path, monkeypatch,
-                                                       workers):
+                                                       no_idle_pool, workers):
         monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
         fresh, cut = tmp_path / "fresh.ckpt", tmp_path / "cut.ckpt"
         search_anchors(1, 45, checkpoint_path=str(fresh))

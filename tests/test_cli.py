@@ -291,7 +291,8 @@ class _ReaderLeavesAfter(io.StringIO):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_anchors_closed_pipe_stops_the_search(tmp_path, monkeypatch, threads):
+def test_anchors_closed_pipe_stops_the_search(tmp_path, monkeypatch, no_idle_pool,
+                                              threads):
     monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
     path = tmp_path / "ck.jsonl"
     with open(tmp_path / "stdout", "w") as fh:

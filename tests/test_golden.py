@@ -58,6 +58,8 @@ CASES = {
         _damage,
         ["anchors", "--from", "1", "--to", "45", "--checkpoint", CKPT]],
     "check": [["check", "198", "--format", "jsonl"]],
+    "check-multiple-of-base": [["check", "10"]],
+    "check-zero": [["check", "0"]],
     "heuristic": [["heuristic", "--from", "1", "--to", "300"]],
 }
 

@@ -1,7 +1,9 @@
 import functools
 import itertools
+import multiprocessing
 import os
 import random
+import signal
 import time
 import tracemalloc
 from concurrent.futures import Future
@@ -62,6 +64,22 @@ def _fail_at(i, k):
     return i
 
 
+def _pid(i):
+    """The pid of the process that runs shard i."""
+    return os.getpid()
+
+
+def _send_brute_force(conn):
+    """Sends the prime v-palindromes up to 10**5, found at two workers."""
+    conn.send(palindromes_mod._brute_force_hits(10**5, 10, 2))
+    conn.close()
+
+
+def _children() -> set[int]:
+    """The pids of this process's live multiprocessing children."""
+    return {p.pid for p in multiprocessing.active_children()}
+
+
 def _drain(results):
     """The items of results up to the ValueError that ends them, and its
     arguments."""
@@ -87,9 +105,10 @@ def batch_sizes(monkeypatch):
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
+def inline_pool(monkeypatch, no_idle_pool):
     """Replaces the process pool with one that runs each shard at submit;
-    yields the list of the pool sizes asked for."""
+    yields the list of the pool sizes asked for.  No real pool is idle when
+    it is patched in, so none can stand in for it."""
     sizes = []
 
     class InlinePool:
@@ -459,6 +478,82 @@ class TestEnumerate:
             list(enumerate_v_palindromes(10**18, 10**18 + 5))
         with pytest.raises(DomainError):
             list(enumerate_v_palindromes(2**63 - 5, 2**63 - 1, base=2))
+
+
+class TestPoolLifetime:
+    """The shard pool is forked once per process and worker count: a call
+    that yields every shard leaves it idle for the next, a call that stops
+    early shuts it down."""
+
+    SHARDS = [(i,) for i in range(20)]
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch, no_idle_pool):
+        monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
+
+    def test_consecutive_calls_run_on_the_same_workers(self):
+        first = set(palindromes_mod._shard_map(_pid, self.SHARDS, 2))
+        workers = _children()
+        assert len(workers) == 2 and first <= workers
+        second = set(palindromes_mod._shard_map(_pid, self.SHARDS, 2))
+        assert second <= workers == _children()
+        expected = palindromes_mod._brute_force_hits(10**5, 10, 1)
+        assert palindromes_mod._brute_force_hits(10**5, 10, 2) == expected
+        assert _children() == workers
+
+    def test_another_worker_count_replaces_the_pool(self, monkeypatch):
+        monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 3)
+        list(palindromes_mod._shard_map(_pid, self.SHARDS, 2))
+        two = _children()
+        assert len(two) == 2
+        assert set(palindromes_mod._shard_map(_pid, self.SHARDS, 3)) <= _children()
+        three = _children()
+        assert len(three) == 3 and not two & three
+        list(palindromes_mod._shard_map(_pid, self.SHARDS, 2))
+        assert len(_children()) == 2 and not _children() & (two | three)
+
+    def test_a_worker_killed_while_idle_is_replaced(self):
+        list(palindromes_mod._shard_map(_pid, self.SHARDS, 2))
+        os.kill(min(_children()), signal.SIGKILL)
+        # the pool notices the death and stops its other worker
+        deadline = time.monotonic() + 10
+        while _children() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _children() == set()
+        expected = palindromes_mod._brute_force_hits(10**5, 10, 1)
+        assert palindromes_mod._brute_force_hits(10**5, 10, 2) == expected
+        assert len(_children()) == 2
+
+    def test_a_call_that_stops_early_leaves_no_worker(self):
+        list(palindromes_mod._shard_map(_pid, self.SHARDS, 2))
+        results = palindromes_mod._shard_map(_sleep_then, [(i, 0.01) for i in range(40)], 2)
+        assert next(results) == 0
+        results.close()
+        assert multiprocessing.active_children() == []
+        shards = [(i, 6) for i in range(40)]
+        assert _drain(palindromes_mod._shard_map(_fail_at, shards, 2))[0] == list(range(6))
+        assert multiprocessing.active_children() == []
+
+    def test_a_forked_child_does_not_use_the_inherited_pool(self):
+        expected = palindromes_mod._brute_force_hits(10**5, 10, 1)
+        assert palindromes_mod._brute_force_hits(10**5, 10, 2) == expected
+        workers = _children()
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_send_brute_force, args=(sender,))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(20), "the child gave no answer"
+            assert receiver.recv() == expected
+            # the child's own pool does not keep it alive at exit
+            child.join(20)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert _children() == workers
 
 
 class TestFamilies:
