@@ -28,6 +28,7 @@ reversal: r >= 3n - 9 when 3 divides r.
 import itertools
 import multiprocessing.util
 import os
+import threading
 import time
 import traceback
 from collections import deque
@@ -278,13 +279,16 @@ def _run_batch(fn, batch):
     return results, time.perf_counter() - start, error
 
 
-# The pool that the last _shard_map call to finish left idle, if any, keyed
-# by (the pid that made it, its worker count); the next call at that count
-# takes it, so a process forks its workers once per worker count.  A call
-# takes a pool out with dict.pop, which is atomic, so two threads never
-# share one; there is no lock, which a fork could leave held in the child.
-_idle = {}
+# The pool that the last _shard_map call to run to its end left idle, as
+# [(the pid that made it, its worker count, the pool)], else []; the next
+# call at that count takes it, so a process forks its workers once per
+# worker count.  list.pop is atomic, so two threads never take the same
+# pool, and there is no lock for a fork to leave held in the child.
+_idle = []
 _exit_hook_pid = None
+
+# How often an idle pool worker checks that the process that made it lives.
+_PARENT_POLL_S = 0.5
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
@@ -295,30 +299,58 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     pool sat idle breaks it within milliseconds, and the first submit to a
     broken pool raises, so such a pool is replaced here."""
     global _exit_hook_pid
-    pool = _idle.pop((os.getpid(), workers), None)
-    if pool is not None:
-        try:
-            pool.submit(int)
-            return pool
-        except BrokenProcessPool:
-            pool.shutdown()
-    _drop_idle()
+    kept = _take_idle()
+    if kept is not None:
+        if kept[0] == workers:
+            try:
+                kept[1].submit(int)
+                return kept[1]
+            except BrokenProcessPool:
+                pass
+        kept[1].shutdown()
     if _exit_hook_pid != os.getpid():
         # a multiprocessing child joins its children at exit before the
         # pool's own exit hook would stop them, and closes its queues (at
         # exit priority 10) first, so stop them before that
         multiprocessing.util.Finalize(None, _drop_idle, exitpriority=20)
         _exit_hook_pid = os.getpid()
-    return ProcessPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(max_workers=workers, initializer=_watch_parent)
+
+
+def _take_idle():
+    """(worker count, pool) of the idle pool made in this process, taken out
+    of the cache, else None; one inherited through fork is forgotten
+    without being touched."""
+    while True:
+        try:
+            pid, workers, pool = _idle.pop()
+        except IndexError:
+            return None
+        if pid == os.getpid():
+            return workers, pool
 
 
 def _drop_idle() -> None:
-    """Shut down the idle pool made in this process, and forget one
-    inherited through fork without touching it."""
-    for key in list(_idle):
-        pool = _idle.pop(key, None)
-        if pool is not None and key[0] == os.getpid():
-            pool.shutdown()
+    """Shut down the idle pool made in this process, if any."""
+    while (kept := _take_idle()) is not None:
+        kept[1].shutdown()
+
+
+def _watch_parent() -> None:
+    """Pool worker initializer: end this worker once the process that made
+    it is gone.  An idle worker blocks reading the pool's call queue, whose
+    write end it holds itself, so without this a parent killed past its
+    exit hooks (SIGKILL, a SIGTERM left at its default action) would leave
+    the worker running for good.  The parent is the one this worker has
+    when the initializer runs: one that died before then is not seen."""
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="vpal-parent-watch", daemon=True).start()
 
 
 def _shard_map(fn, shards, workers: int):
@@ -335,7 +367,7 @@ def _shard_map(fn, shards, workers: int):
     are read and submitted only while the generator runs, and at most two
     batches per worker are submitted and unfinished at a time; a slow batch
     does not stall the rest, whose results wait for it in order.  A call
-    that yields every shard leaves its pool (_pool) idle for the next, in
+    that runs to its end leaves its pool (_pool) idle for the next, in
     place of any other idle pool.  A call that stops early (the generator
     closed, a shard raising, a broken pool, an interrupt) cancels the
     batches not yet started and shuts its pool down.
@@ -379,8 +411,8 @@ def _shard_map(fn, shards, workers: int):
         # an abandoned generator must not wait for the remaining batches
         pool.shutdown(cancel_futures=True)
         raise
-    _drop_idle()  # a pool another call left idle meanwhile
-    _idle[os.getpid(), workers] = pool
+    _drop_idle()  # a pool another thread's call left idle meanwhile
+    _idle.append((os.getpid(), workers, pool))
 
 
 def _scan(fn, spans, base: int, workers: int, *args):

@@ -302,6 +302,15 @@ class TestIterAnchors:
             last = json.loads(path.read_text().splitlines()[-1])
             assert (last["m"], len(path.read_text().splitlines())) == (result.m, count + 1)
 
+    def test_a_finished_search_leaves_its_pool_for_the_next(self, monkeypatch,
+                                                           no_idle_pool):
+        monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
+        first = search_anchors(1, 45, workers=2)
+        workers = {p.pid for p in multiprocessing.active_children()}
+        assert len(workers) == 2
+        assert search_anchors(1, 45, workers=2) == first
+        assert {p.pid for p in multiprocessing.active_children()} == workers
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_closed_early_leaves_a_resumable_checkpoint(self, tmp_path, monkeypatch,
                                                        no_idle_pool, workers):

@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from concurrent.futures import Future
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import subprocess_env
 from _oracles import (
     oracle_is_v_palindrome,
     oracle_reverse,
@@ -80,6 +83,30 @@ def _children() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
 
 
+def _running(pid: int) -> bool:
+    """Whether pid is a process that has not exited; a zombie has."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:  # gone meanwhile, or no /proc to tell a zombie
+        return not os.path.isdir("/proc")
+
+
+# Leaves a two-worker pool idle, prints its worker pids and waits.
+_HOLDER = """
+import multiprocessing, time
+from vpal import palindromes
+palindromes._usable_cpus = lambda: 2
+palindromes._brute_force_hits(10**5, 10, 2)
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+time.sleep(60)
+"""
+
+
 def _drain(results):
     """The items of results up to the ValueError that ends them, and its
     arguments."""
@@ -112,8 +139,8 @@ def inline_pool(monkeypatch, no_idle_pool):
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)  # runs in process: no initializer
 
         def submit(self, fn, *args):
             done = Future()
@@ -533,6 +560,24 @@ class TestPoolLifetime:
         shards = [(i, 6) for i in range(40)]
         assert _drain(palindromes_mod._shard_map(_fail_at, shards, 2))[0] == list(range(6))
         assert multiprocessing.active_children() == []
+
+    def test_workers_end_when_the_process_that_made_them_is_killed(self):
+        holder = subprocess.Popen([sys.executable, "-c", _HOLDER], env=subprocess_env(),
+                                  stdout=subprocess.PIPE, text=True)
+        try:
+            workers = [int(pid) for pid in holder.stdout.readline().split()]
+        finally:
+            holder.kill()  # no exit hook runs
+            holder.wait()
+            holder.stdout.close()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if _running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
 
     def test_a_forked_child_does_not_use_the_inherited_pool(self):
         expected = palindromes_mod._brute_force_hits(10**5, 10, 1)
