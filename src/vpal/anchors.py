@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .arith import (  # noqa: F401
     DEFAULT_ROUNDS,
     PrimalityVerdict,
-    _check_rounds,
+    _check_count,
     _lucas_proves_prime,
     _pow_mod,
     _primes_upto,
@@ -297,7 +297,8 @@ def iter_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
         raise DomainError(f"anchor index must be >= 1, got {m_lo}")
     if m_hi < m_lo:
         raise DomainError(f"empty index range [{m_lo}, {m_hi}]")
-    _check_rounds(rounds)
+    _check_count("rounds", rounds)
+    _check_count("workers", workers)
     done: dict[int, tuple] = {}
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         done = _read_checkpoint(checkpoint_path, rounds)
@@ -358,7 +359,7 @@ def verify_characterization(bound: int, base: int = 10, workers: int = 1,
     """
     if bound < 2:
         raise DomainError(f"bound must be >= 2, got {bound}")
-    _check_rounds(rounds)
+    _check_count("rounds", rounds)
     brute = _brute_force_hits(bound, base, workers)
     # the last index whose larger member p = 5*10**m - 1 is <= bound
     m_max = length((bound + 1) // 5) - 1 if base == 10 else 0

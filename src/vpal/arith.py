@@ -188,17 +188,19 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
-def _check_rounds(rounds: int) -> None:
-    if type(rounds) is not int:  # True and 2.5 pass a comparison with 1
-        raise DomainError(f"rounds must be an int, got {rounds!r}")
-    if rounds < 1:
-        raise DomainError(f"rounds must be positive, got {rounds}")
+def _check_count(name: str, value: int) -> None:
+    """DomainError unless value, the argument called name, is a positive
+    int: rounds of a primality test, or workers of a shard map."""
+    if type(value) is not int:  # True and 2.5 pass a comparison with 1
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be positive, got {value}")
 
 
 def _check_budget(budget: int | None) -> None:
     if budget is None:
         return
-    if type(budget) is not int:  # as in _check_rounds
+    if type(budget) is not int:  # as in _check_count
         raise DomainError(f"budget must be an int, got {budget!r}")
     if budget < 0:
         raise DomainError(f"budget must be nonnegative, got {budget}")
@@ -215,7 +217,7 @@ def is_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     """
     if n < 0:
         raise DomainError(f"primality is defined for nonnegative integers, got {n}")
-    _check_rounds(rounds)
+    _check_count("rounds", rounds)
     if n < 2:
         return PrimalityVerdict("composite")
     for p in _WITNESSES:

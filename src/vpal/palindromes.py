@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import INT64_MAX, _check_budget, _v_terms, prime_flags, v, v_segment
+from .arith import INT64_MAX, _check_budget, _check_count, _v_terms, prime_flags, v, v_segment
 from .digits import _check_base, length, reverse
 from .errors import DomainError
 
@@ -447,6 +447,7 @@ def enumerate_v_palindromes(lo: int, hi: int, base: int = 10, mode: str = "all",
     _check_base(base)
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
+    _check_count("workers", workers)
     if hi < max(lo, 1):
         return
     _check_int64_reach(hi, base)
@@ -461,6 +462,7 @@ def _brute_force_hits(bound: int, base: int, workers: int) -> list[int]:
     int64 limit.  Only the spans of _prime_hit_spans are cut into shards;
     every p below the base is a one-digit fixed point of reversal."""
     _check_base(base)
+    _check_count("workers", workers)
     _check_int64_reach(bound, base)
     spans = _prime_hit_spans(base, bound, base)
     return list(_scan(_prime_shard_hits, spans, base, workers))

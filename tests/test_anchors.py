@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _oracles import oracle_sieve, trial_factorize, trial_is_prime
+from conftest import BAD_WORKERS
 from vpal import (
     CheckpointCorrupt,
     DomainError,
@@ -207,6 +208,14 @@ class TestSearchAnchors:
         path = tmp_path / "search.ckpt"
         with pytest.raises(DomainError, match="rounds must be an int, got True"):
             search_anchors(1, 3, rounds=True, checkpoint_path=str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("workers,message", BAD_WORKERS)
+    def test_bad_workers_rejected_before_the_checkpoint_opens(self, tmp_path,
+                                                              workers, message):
+        path = tmp_path / "search.ckpt"
+        with pytest.raises(DomainError, match=message):
+            search_anchors(1, 5, checkpoint_path=str(path), workers=workers)
         assert not path.exists()
 
     def test_fractional_rounds_rejected(self):

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import subprocess_env
+from conftest import kill_group, subprocess_env
 from vpal import check_anchor, reverse
 from vpal import anchors as anchors_mod
 from vpal import cli
@@ -668,12 +668,20 @@ def _hit_line(n, reversal, shared_v):
 
 def _leave_after_two_lines(proc):
     """Read two lines of proc's stdout, close it, and return the lines with
-    the exit code and stderr."""
+    the exit code and stderr.  proc is started with start_new_session=True,
+    and once it exits no process it started may be left in its group."""
     lines = [proc.stdout.readline() for _ in range(2)]
     proc.stdout.close()
+    try:
+        # stderr, at most a traceback, fits in the pipe unread; read after
+        # the check, as a process left holding it would delay the read
+        code = proc.wait(timeout=120)
+    finally:
+        outlived = kill_group(proc.pid)  # a run the pipe did not stop too
+    assert not outlived, f"{proc.args[3:]} left a process running after it exited"
     err = proc.stderr.read()
     proc.stderr.close()
-    return lines, proc.wait(timeout=120), err
+    return lines, code, err
 
 
 FIRST_TWO_LINES = {
@@ -696,6 +704,7 @@ def test_closed_pipe_exits_quietly(fmt, threads):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
+        start_new_session=True,
     )
     assert _leave_after_two_lines(proc) == (FIRST_TWO_LINES[fmt], 1, b"")
 
@@ -715,16 +724,9 @@ def test_anchors_closed_pipe_exits_quietly(tmp_path, threads):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
+        start_new_session=True,
     )
-    lines = [proc.stdout.readline() for _ in range(2)]
-    proc.stdout.close()
-    try:
-        code = proc.wait(timeout=60)
-    finally:
-        proc.kill()  # a search the pipe did not stop would run for minutes
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (lines, code, err) == (
+    assert _leave_after_two_lines(proc) == (
         [b"m=1 p=49 [composite] q=47 [prime] candidate=no\n",
          b"m=2 p=499 [prime] q=497 [composite] candidate=no\n"], 1, b"")
     records = [json.loads(line)["m"] for line in path.read_text().splitlines()[1:]]
@@ -745,6 +747,7 @@ def test_export_closed_pipe_exits_quietly(tmp_path):
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
+            start_new_session=True,
         )
         outcome = _leave_after_two_lines(proc)
     assert outcome == ([b"n,reversal,shared_v,base\n", b"0,1,2,10\n"], 1, b"")

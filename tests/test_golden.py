@@ -8,9 +8,16 @@ stderr, the exit code, and the digest of the checkpoint file it leaves,
 if any.  The commands are those that run through the shard pool, plus
 `check` and `heuristic`, so a change to how work is split shows here as
 a changed byte.  A run that fails must leave its checkpoint as it found
-it.  Changing the output on purpose means recording the digests anew:
+it, and each run starts a session of its own, which must be empty once
+the run exits: no pool worker outlives the command that forked it.
 
-    python tests/test_golden.py
+The corpus is the one statement of these checks: a new byte or process
+check of the CLI belongs in the tier-1 tests, here or in test_cli.py, not
+in the CI workflow.  A change to the corpus is a change of output, listed
+in CHANGES.md with its reason.  Changing the output on purpose means
+recording the digests anew:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
@@ -18,11 +25,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from conftest import subprocess_env
+from conftest import kill_group, subprocess_env
 
 GOLDEN = Path(__file__).with_name("golden.json")
 CKPT = "search.ckpt"
@@ -44,6 +52,8 @@ CASES = {
     "enumerate": [["enumerate", "--lo", "1", "--hi", "150000"]],
     "enumerate-canonical-t2": [
         ["enumerate", "--lo", "1", "--hi", "150000", "--canonical", "--threads", "2"]],
+    "enumerate-canonical-bfile": [
+        ["enumerate", "--lo", "1", "--hi", "1000000", "--canonical", "--format", "bfile"]],
     "verify-t1": [["verify", "--bound", "10000000", "--format", "jsonl", "--threads", "1"]],
     "verify-t2": [["verify", "--bound", "10000000", "--format", "jsonl", "--threads", "2"]],
     "anchors-table": [["anchors", "--from", "1", "--to", "60"]],
@@ -78,15 +88,26 @@ def _run_case(steps, workdir: Path, threads: str) -> dict:
             step(ckpt)
             continue
         before = ckpt.read_bytes() if ckpt.exists() else None
-        proc = subprocess.run([sys.executable, "-m", "vpal", *step], cwd=workdir,
-                              env=env, capture_output=True, timeout=120)
+        # files, not pipes: a process left holding a pipe would keep the
+        # reader waiting until it is gone, and the group check would pass
+        with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+            proc = subprocess.Popen([sys.executable, "-m", "vpal", *step], cwd=workdir,
+                                    env=env, stdout=out, stderr=err, start_new_session=True)
+            try:
+                code = proc.wait(timeout=120)
+            finally:
+                outlived = kill_group(proc.pid)
+            assert not outlived, f"{step} left a process running after it exited"
+            out.seek(0)
+            err.seek(0)
+            stdout, stderr = out.read(), err.read()
         after = ckpt.read_bytes() if ckpt.exists() else None
-        if proc.returncode != 0:
-            assert after == before, f"{step} exited {proc.returncode} and changed {CKPT}"
+        if code != 0:
+            assert after == before, f"{step} exited {code} and changed {CKPT}"
     return {
-        "exit": proc.returncode,
-        "stdout": _sha(proc.stdout),
-        "stderr": _sha(proc.stderr),
+        "exit": code,
+        "stdout": _sha(stdout),
+        "stderr": _sha(stderr),
         "checkpoint": None if after is None else _sha(after),
     }
 
@@ -103,8 +124,6 @@ def test_corpus_covers_every_case():
 
 
 if __name__ == "__main__":
-    import tempfile
-
     golden = {}
     for name, steps in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as workdir:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import subprocess_env
+from conftest import BAD_WORKERS, subprocess_env
 from _oracles import (
     oracle_is_v_palindrome,
     oracle_reverse,
@@ -289,6 +289,13 @@ class TestEnumerate:
         # refused before the int64 sieves see it
         with pytest.raises(DomainError, match="base must be an int, got 10.0"):
             list(enumerate_v_palindromes(1, 1000, base=10.0))
+
+    @pytest.mark.parametrize("workers,message", BAD_WORKERS)
+    def test_bad_workers_refused(self, workers, message):
+        with pytest.raises(DomainError, match=message):
+            list(enumerate_v_palindromes(1, 300000, workers=workers))
+        with pytest.raises(DomainError, match=message):
+            palindromes_mod._brute_force_hits(300000, 10, workers)
 
     @pytest.mark.parametrize("lo,hi", [(99_990, 100_010), (65_530, 65_545),
                                        (999_990, 1_000_020), (1, 3000),
