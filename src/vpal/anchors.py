@@ -343,8 +343,8 @@ def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
 
 # --- brute-force cross-verification ------------------------------------
 
-def verify_characterization(bound: int, base: int = 10, workers: int = 1,
-                            rounds: int = DEFAULT_ROUNDS) -> VerificationReport:
+def verify_characterization(bound: int, base: int = 10,
+                            workers: int = 1) -> VerificationReport:
     """Compare brute force against the anchor characterization up to bound.
 
     The brute-force side is the prime scanner of vpal.palindromes, with
@@ -353,18 +353,20 @@ def verify_characterization(bound: int, base: int = 10, workers: int = 1,
     CANDIDATE_FLOOR <= m with larger member p <= bound and collects its
     candidates as they are yielded, holding no other result; a brute-force
     hit below the floor would make the report inconsistent, so the floor
-    is checked, not assumed.  The anchor digit form is specific to base 10,
-    so for other bases the characterization side is empty and the report
-    simply exposes whatever the brute force found.
+    is checked, not assumed.  The int64 limit keeps m <= 17, so every
+    member tested lies below DETERMINISTIC_BOUND and every verdict is
+    deterministic: no round count could change the report.  The anchor
+    digit form is specific to base 10, so for other bases the
+    characterization side is empty and the report simply exposes whatever
+    the brute force found.
     """
     if bound < 2:
         raise DomainError(f"bound must be >= 2, got {bound}")
-    _check_count("rounds", rounds)
     brute = _brute_force_hits(bound, base, workers)
     # the last index whose larger member p = 5*10**m - 1 is <= bound
     m_max = length((bound + 1) // 5) - 1 if base == 10 else 0
     chars = []
     if m_max >= CANDIDATE_FLOOR:
-        chars = [r.p for r in iter_anchors(CANDIDATE_FLOOR, m_max, rounds)
+        chars = [r.p for r in iter_anchors(CANDIDATE_FLOOR, m_max)
                  if r.is_candidate]
     return VerificationReport(bound, brute, chars, set(brute) == set(chars))

@@ -5,7 +5,7 @@ as a human-readable table by default, or in the jsonl/csv/bfile machine
 format that --format names.  Diagnostics go to stderr.
 Exit codes: 0 success, 1 domain error, 2 budget, checkpoint or usage failure.
 Configuration precedence is flags > environment (VPAL_THREADS, VPAL_ROUNDS,
-VPAL_BUDGET) > defaults.
+VPAL_BUDGET) > defaults; only anchors reads VPAL_ROUNDS.
 """
 
 import argparse
@@ -101,11 +101,7 @@ def _cmd_anchors(args):
 
 
 def _cmd_verify(args):
-    rep = verify_characterization(
-        args.bound,
-        workers=_resolve_threads(args),
-        rounds=_setting(args, "rounds", DEFAULT_ROUNDS),
-    )
+    rep = verify_characterization(args.bound, workers=_resolve_threads(args))
     return [output.verification_record(rep)]
 
 
@@ -190,7 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="brute force vs. anchor characterization")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--threads", type=int, default=None)
     _add_format(p, output.FORMATS[:3])
     p.set_defaults(func=_cmd_verify)

@@ -24,7 +24,14 @@ from vpal import (
 from vpal import anchors as anchors_mod
 from vpal import arith as arith_mod
 from vpal import palindromes as palindromes_mod
-from vpal.arith import PrimalityVerdict, _primes_upto, is_prime, prime_flags
+from vpal.arith import (
+    DETERMINISTIC_BOUND,
+    INT64_MAX,
+    PrimalityVerdict,
+    _primes_upto,
+    is_prime,
+    prime_flags,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -668,9 +675,9 @@ class TestVerifyCharacterization:
         calls = []
         real = anchors_mod.iter_anchors
 
-        def recording(m_lo, m_hi, rounds):
+        def recording(m_lo, m_hi):
             calls.append((m_lo, m_hi))
-            return real(m_lo, m_hi, rounds)
+            return real(m_lo, m_hi)
 
         monkeypatch.setattr(anchors_mod, "iter_anchors", recording)
         rep = verify_characterization(bound)
@@ -690,13 +697,20 @@ class TestVerifyCharacterization:
         assert rep.characterization_hits == []
         assert not rep.consistent
 
-    def test_rounds_below_one_rejected_before_the_brute_force(self, monkeypatch):
-        def brute_force(*args):
-            raise AssertionError("the brute force ran")
-
-        monkeypatch.setattr(anchors_mod, "_brute_force_hits", brute_force)
-        with pytest.raises(DomainError, match="rounds"):
-            verify_characterization(10**4, rounds=0)
+    def test_every_verdict_it_can_reach_is_deterministic(self):
+        # verify takes no round count because its int64 limit keeps every
+        # anchor pair it tests below DETERMINISTIC_BOUND; lifting the limit
+        # fails here before verify turns probabilistic
+        assert INT64_MAX < DETERMINISTIC_BOUND
+        palindromes_mod._check_int64_reach(10**18 - 1, 10)
+        with pytest.raises(DomainError, match="int64"):
+            palindromes_mod._check_int64_reach(10**18, 10)
+        bound = 10**18 - 1
+        m_max = length((bound + 1) // 5) - 1
+        assert m_max == 17
+        assert max(anchor(m_max)) <= bound < DETERMINISTIC_BOUND
+        with pytest.raises(TypeError):
+            verify_characterization(100, rounds=1)
 
     def test_reversal_beyond_bound_handled(self):
         # bound not a power of ten: reversals can exceed the sieve table

@@ -3,9 +3,12 @@ import hashlib
 import io
 import json
 import multiprocessing
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -366,6 +369,24 @@ def test_verify(capsys):
     assert rec["kind"] == "verification"
     assert rec["consistent"] is True
     assert rec["brute_force_hits"] == []
+
+
+def test_verify_ignores_vpal_rounds(capsys, monkeypatch):
+    # every verdict verify reaches is deterministic, so no round count is read
+    argv = ("verify", "--bound", "100000", "--threads", "1")
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setenv("VPAL_ROUNDS", "0")
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0 and expected[1].startswith("bound=100000\n")
+
+
+def test_verify_rounds_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--bound", "100", "--rounds", "5"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --rounds 5" in err
 
 
 def test_verify_bytes_do_not_depend_on_the_workers(capsys):
@@ -777,6 +798,25 @@ def test_readme_export_pipeline_matches_direct_output(fmt):
     assert exported.stdout == direct.stdout
     assert direct.stdout.splitlines()[-1] == {"csv": b"576,675,13,10",
                                               "bfile": b"3 576"}[fmt]
+
+
+def _readme_cli_commands():
+    """The command lines of the sh block under README's `## CLI`, comments
+    stripped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("command", _readme_cli_commands())
+def test_readme_cli_example_runs(tmp_path, command):
+    # each README example runs as written, with `vpal` as `python -m vpal`
+    assert command.startswith("vpal ")
+    vpal = shlex.join([sys.executable, "-m", "vpal"])
+    line = re.sub(r"(^|\|\s*)vpal ", rf"\g<1>{vpal} ", command)
+    proc = subprocess.run(line, shell=True, cwd=tmp_path, capture_output=True,
+                          env=subprocess_env())
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize("argv", [
