@@ -327,9 +327,6 @@ def iter_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,
                     _write_durably(fh, _result_record(
                         m, result.p_verdict, result.q_verdict, rounds))
             yield result
-        # run the shard map to its end, which leaves its pool idle for the
-        # next call instead of shutting it down as an early stop would
-        next(fresh, None)
 
 
 def search_anchors(m_lo: int, m_hi: int, rounds: int = DEFAULT_ROUNDS,

@@ -19,7 +19,7 @@ from . import output
 # it under this name.
 from .anchors import iter_anchors, search_anchors, verify_characterization  # noqa: F401
 from .arith import DEFAULT_ROUNDS, v
-from .digits import reverse
+from .digits import from_decimal, reverse
 from .errors import (
     BudgetExceeded,
     CheckpointCorrupt,
@@ -140,19 +140,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("v", help="additive function v of N")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=from_decimal)
     p.add_argument("--budget", type=int, default=None)
     _add_format(p)
     p.set_defaults(func=_cmd_v)
 
     p = sub.add_parser("reverse", help="digit reversal of N")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=from_decimal)
     p.add_argument("--base", type=int, default=10)
     _add_format(p)
     p.set_defaults(func=_cmd_reverse)
 
     p = sub.add_parser("check", help="test whether N is a v-palindrome")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=from_decimal)
     p.add_argument("--base", type=int, default=10)
     p.add_argument("--budget", type=int, default=None)
     _add_format(p, output.FORMATS[:3])  # none of its records has a bfile value

@@ -42,10 +42,10 @@ _BFILE_FIELD = {"v_palindrome": "n", "scalar": "value"}
 _TABLE_LINES = {
     "v_palindrome": lambda r: decimal_str(r["n"]),
     "check": lambda r: (
-        f"{r['n']} is a v-palindrome in base {r['base']}: "
-        f"reversal {r['reversal']}, shared v {r['shared_v']}"
+        f"{decimal_str(r['n'])} is a v-palindrome in base {r['base']}: "
+        f"reversal {decimal_str(r['reversal'])}, shared v {decimal_str(r['shared_v'])}"
         if r["is_v_palindrome"]
-        else f"{r['n']} is not a v-palindrome in base {r['base']}"),
+        else f"{decimal_str(r['n'])} is not a v-palindrome in base {r['base']}"),
     "scalar": lambda r: decimal_str(r["value"]),
     "anchor": lambda r: (
         f"m={r['m']} p={decimal_str(r['p'])} [{r['p_status']}] "

@@ -279,12 +279,15 @@ def _run_batch(fn, batch):
     return results, time.perf_counter() - start, error
 
 
-# The pool that the last _shard_map call to run to its end left idle, as
-# [(the pid that made it, its worker count, the pool)], else []; the next
-# call at that count takes it, so a process forks its workers once per
-# worker count.  list.pop is atomic, so two threads never take the same
-# pool, and there is no lock for a fork to leave held in the child.
+# The pool that the last _shard_map call left idle, as [(its worker count,
+# the pool)], else []; the next call at that count takes it, so a process
+# forks its workers once per worker count.  list.pop is atomic, so two
+# threads never take the same pool, and there is no lock for a fork to
+# leave held in the child.  A forked child forgets the pool as it forks:
+# its manager thread runs only in the parent.
 _idle = []
+if hasattr(os, "register_at_fork"):  # no fork on this platform otherwise
+    os.register_at_fork(after_in_child=_idle.clear)
 _exit_hook_pid = None
 
 # How often an idle pool worker checks that the process that made it lives.
@@ -293,21 +296,23 @@ _PARENT_POLL_S = 0.5
 
 def _pool(workers: int) -> ProcessPoolExecutor:
     """A process pool of this many workers for one _shard_map call: the idle
-    one made in this process at this count, else a new one, after the idle
-    pool is shut down.  A pool inherited through fork is never used, as its
-    manager thread runs only in the parent.  A worker that died while the
-    pool sat idle breaks it within milliseconds, and the first submit to a
-    broken pool raises, so such a pool is replaced here."""
+    one at this count, else a new one, after the idle pool is shut down.  A
+    worker that died while the pool sat idle breaks it within milliseconds,
+    and the first submit to a broken pool raises, so such a pool (or one a
+    call left broken) is replaced here."""
     global _exit_hook_pid
-    kept = _take_idle()
-    if kept is not None:
-        if kept[0] == workers:
+    try:
+        kept_workers, kept = _idle.pop()
+    except IndexError:
+        pass
+    else:
+        if kept_workers == workers:
             try:
-                kept[1].submit(int)
-                return kept[1]
+                kept.submit(int)
+                return kept
             except BrokenProcessPool:
                 pass
-        kept[1].shutdown()
+        kept.shutdown()
     if _exit_hook_pid != os.getpid():
         # a multiprocessing child joins its children at exit before the
         # pool's own exit hook would stop them, and closes its queues (at
@@ -317,23 +322,13 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers, initializer=_watch_parent)
 
 
-def _take_idle():
-    """(worker count, pool) of the idle pool made in this process, taken out
-    of the cache, else None; one inherited through fork is forgotten
-    without being touched."""
-    while True:
-        try:
-            pid, workers, pool = _idle.pop()
-        except IndexError:
-            return None
-        if pid == os.getpid():
-            return workers, pool
-
-
 def _drop_idle() -> None:
-    """Shut down the idle pool made in this process, if any."""
-    while (kept := _take_idle()) is not None:
-        kept[1].shutdown()
+    """Shut down the idle pool, if any."""
+    try:
+        while True:
+            _idle.pop()[1].shutdown()
+    except IndexError:
+        pass
 
 
 def _watch_parent() -> None:
@@ -366,11 +361,11 @@ def _shard_map(fn, shards, workers: int):
     that finished last, and at most double the batch before.  New shards
     are read and submitted only while the generator runs, and at most two
     batches per worker are submitted and unfinished at a time; a slow batch
-    does not stall the rest, whose results wait for it in order.  A call
-    that runs to its end leaves its pool (_pool) idle for the next, in
-    place of any other idle pool.  A call that stops early (the generator
-    closed, a shard raising, a broken pool, an interrupt) cancels the
-    batches not yet started and shuts its pool down.
+    does not stall the rest, whose results wait for it in order.  Every
+    call leaves its pool (_pool) idle for the next, in place of any other
+    idle pool, whether it runs to its end or stops early (the generator
+    closed, a shard raising, a broken pool, an interrupt); one that stops
+    early first cancels the batches not yet started.
     """
     shards = iter(shards)
     head = list(itertools.islice(shards, max(1, min(workers, _usable_cpus()))))
@@ -407,12 +402,11 @@ def _shard_map(fn, shards, workers: int):
                     raise error[0] from RuntimeError(f"in a pool worker:\n{error[1]}")
             else:
                 wait(running, return_when=FIRST_COMPLETED)
-    except BaseException:
-        # an abandoned generator must not wait for the remaining batches
-        pool.shutdown(cancel_futures=True)
-        raise
-    _drop_idle()  # a pool another thread's call left idle meanwhile
-    _idle.append((os.getpid(), workers, pool))
+    finally:
+        for future in pending:
+            future.cancel()  # a batch already running cannot be cancelled
+        _drop_idle()  # a pool another thread's call left idle meanwhile
+        _idle.append((workers, pool))
 
 
 def _scan(fn, spans, base: int, workers: int, *args):

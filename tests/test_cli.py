@@ -20,6 +20,7 @@ from vpal import heuristic as heuristic_mod
 from vpal import palindromes as palindromes_mod
 from vpal.heuristic import C_MAX
 from vpal.cli import main
+from vpal.digits import decimal_str
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +45,27 @@ def test_reverse_other_base(capsys):
     code, out, _ = run_cli(capsys, "reverse", "5", "--base", "2")
     assert code == 0
     assert out == "5\n"  # 101 reversed is 101
+
+
+def test_operands_past_the_int_digit_limit(capsys):
+    # longer than the 4,300 digits int() converts; v(2**14700) = 2 + 14700
+    code, out, _ = run_cli(capsys, "v", decimal_str(2**14700))
+    assert (code, out) == (0, "14702\n")
+    zeros = "0" * 4400
+    code, out, _ = run_cli(capsys, "reverse", f"1{zeros}2")
+    assert (code, out) == (0, f"2{zeros}1\n")
+    code, out, _ = run_cli(capsys, "check", f"1{zeros}")
+    assert (code, out) == (0, f"1{zeros} is not a v-palindrome in base 10\n")
+
+
+@pytest.mark.parametrize("command", ["v", "reverse", "check"])
+@pytest.mark.parametrize("operand", ["1.5", "abc", f"1{'0' * 4400}x"])
+def test_a_non_integer_operand_is_a_usage_error(capsys, command, operand):
+    with pytest.raises(SystemExit) as info:
+        main([command, operand])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"vpal {command}: error: argument n: invalid" in err
 
 
 def test_check_true(capsys):
@@ -301,15 +323,23 @@ def test_anchors_closed_pipe_stops_the_search(tmp_path, monkeypatch, no_idle_poo
     with open(tmp_path / "stdout", "w") as fh:
         stdout = _ReaderLeavesAfter(3, fh.fileno())
         monkeypatch.setattr(sys, "stdout", stdout)
-        code = main(["anchors", "--from", "1", "--to", "60", "--threads", threads,
-                     "--checkpoint", str(path)])
+        argv = ["anchors", "--from", "1", "--to", "60", "--threads", threads,
+                "--checkpoint", str(path)]
+        code = main(argv)
     assert code == 1
-    assert multiprocessing.active_children() == []
+    # a pool is left idle at two threads
+    idle = {p.pid for p in multiprocessing.active_children()}
+    assert len(idle) == (2 if threads == "2" else 0)
     assert [line.split()[0] for line in stdout.getvalue().splitlines()] == [
         "m=1", "m=2", "m=3"]
     # the fourth result was checkpointed before its write failed
     records = [json.loads(line)["m"] for line in path.read_text().splitlines()[1:]]
     assert records == [1, 2, 3, 4]
+    # the resumed search runs to its end on the workers the cut one left idle
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(argv) == 0
+    assert len(sys.stdout.getvalue().splitlines()) == 60
+    assert {p.pid for p in multiprocessing.active_children()} == idle
 
 
 @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])

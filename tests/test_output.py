@@ -14,6 +14,7 @@ from vpal import (
     verify_characterization,
 )
 from vpal import output
+from vpal.digits import from_decimal
 
 HITS = [
     VPalindromeHit(18, 81, 7, 10),
@@ -85,6 +86,16 @@ def test_ints_past_the_str_digit_limit_round_trip():
     assert list(output.read_jsonl(io.StringIO(line))) == [rec]
     assert render([rec], "bfile") == f"1 1{'9' * 4999}8\n"
     assert render([rec], "csv").splitlines()[1].endswith(f",1{'9' * 4999}8")
+
+
+def test_check_table_renders_ints_past_the_str_digit_limit():
+    n, r, shared = f"1{'9' * 4999}8", f"8{'9' * 4999}1", f"1{'0' * 4400}"
+    hit = VPalindromeHit(*map(from_decimal, (n, r, shared)), 10)
+    rec = output.check_record(hit.n, 10, hit.reversal, hit)
+    assert render([rec], "table") == (
+        f"{n} is a v-palindrome in base 10: reversal {r}, shared v {shared}\n")
+    rec = output.check_record(10**4400, 10, None, None)
+    assert render([rec], "table") == f"1{'0' * 4400} is not a v-palindrome in base 10\n"
 
 
 def test_jsonl_fallback_matches_json_dumps():

@@ -1,21 +1,24 @@
 import functools
 import itertools
+import json
 import multiprocessing
 import os
 import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import BAD_WORKERS, subprocess_env
+from conftest import BAD_WORKERS, kill_group, subprocess_env
 from _oracles import (
     oracle_is_v_palindrome,
     oracle_reverse,
@@ -72,6 +75,13 @@ def _pid(i):
     return os.getpid()
 
 
+def _exit_at(i, k):
+    """Shard i, whose process exits at once at shard k."""
+    if i == k:
+        os._exit(1)
+    return i
+
+
 def _send_brute_force(conn):
     """Sends the prime v-palindromes up to 10**5, found at two workers."""
     conn.send(palindromes_mod._brute_force_hits(10**5, 10, 2))
@@ -104,6 +114,34 @@ palindromes._usable_cpus = lambda: 2
 palindromes._brute_force_hits(10**5, 10, 2)
 print(*(p.pid for p in multiprocessing.active_children()), flush=True)
 time.sleep(60)
+"""
+
+
+# Closes its first call at two workers after one item and runs its second
+# to the end; prints the pid of that item, the live children, the pids of
+# the second call's items and the live children again.
+_TWO_CALLS = """
+import multiprocessing, os
+from vpal import palindromes
+palindromes._usable_cpus = lambda: 2
+def children():
+    print(*(p.pid for p in multiprocessing.active_children()))
+results = palindromes._shard_map(os.getpid, [()] * 20, 2)
+print(next(results))
+results.close()
+children()
+print(*set(palindromes._shard_map(os.getpid, [()] * 20, 2)))
+children()
+"""
+
+# Imports vpal on a platform without os.register_at_fork and runs the
+# brute force at two workers.
+_NO_AT_FORK = """
+import os
+del os.register_at_fork
+from vpal import palindromes
+palindromes._usable_cpus = lambda: 2
+print(palindromes._brute_force_hits(10**5, 10, 2))
 """
 
 
@@ -515,15 +553,21 @@ class TestEnumerate:
 
 
 class TestPoolLifetime:
-    """The shard pool is forked once per process and worker count: a call
-    that yields every shard leaves it idle for the next, a call that stops
-    early shuts it down."""
+    """The shard pool is forked once per process and worker count: every
+    call leaves it idle for the next, whether it yields every shard or stops
+    early, and a forked child forgets it as it forks."""
 
     SHARDS = [(i,) for i in range(20)]
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch, no_idle_pool):
         monkeypatch.setattr(palindromes_mod, "_usable_cpus", lambda: 2)
+
+    def assert_idle_on(self, workers):
+        """The pool of two workers is idle, and the next call at that count
+        runs on the given workers."""
+        assert [count for count, _ in palindromes_mod._idle] == [2]
+        assert set(palindromes_mod._shard_map(_pid, self.SHARDS, 2)) <= workers == _children()
 
     def test_consecutive_calls_run_on_the_same_workers(self):
         first = set(palindromes_mod._shard_map(_pid, self.SHARDS, 2))
@@ -558,15 +602,44 @@ class TestPoolLifetime:
         assert palindromes_mod._brute_force_hits(10**5, 10, 2) == expected
         assert len(_children()) == 2
 
-    def test_a_call_that_stops_early_leaves_no_worker(self):
+    def test_a_call_that_stops_early_leaves_its_pool_idle(self):
         list(palindromes_mod._shard_map(_pid, self.SHARDS, 2))
+        workers = _children()
         results = palindromes_mod._shard_map(_sleep_then, [(i, 0.01) for i in range(40)], 2)
         assert next(results) == 0
         results.close()
-        assert multiprocessing.active_children() == []
+        self.assert_idle_on(workers)
         shards = [(i, 6) for i in range(40)]
         assert _drain(palindromes_mod._shard_map(_fail_at, shards, 2))[0] == list(range(6))
-        assert multiprocessing.active_children() == []
+        self.assert_idle_on(workers)
+
+    def test_a_pool_broken_in_a_call_is_replaced_at_the_next(self):
+        list(palindromes_mod._shard_map(_pid, self.SHARDS, 2))
+        workers = _children()
+        with pytest.raises(BrokenProcessPool):
+            list(palindromes_mod._shard_map(_exit_at, [(i, 3) for i in range(20)], 2))
+        expected = palindromes_mod._brute_force_hits(10**5, 10, 1)
+        assert palindromes_mod._brute_force_hits(10**5, 10, 2) == expected
+        fresh = _children()
+        assert len(fresh) == 2 and not fresh & workers
+        self.assert_idle_on(fresh)
+
+    def test_two_threads_leave_one_pool_idle(self):
+        shards = [(i, 0.005) for i in range(40)]
+        results = {}
+
+        def run(key):
+            results[key] = list(palindromes_mod._shard_map(_sleep_then, shards, 2))
+
+        threads = [threading.Thread(target=run, args=(key,)) for key in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == {0: list(range(40)), 1: list(range(40))}
+        workers = _children()
+        assert len(workers) == 2
+        self.assert_idle_on(workers)
 
     def test_workers_end_when_the_process_that_made_them_is_killed(self):
         holder = subprocess.Popen([sys.executable, "-c", _HOLDER], env=subprocess_env(),
@@ -606,6 +679,56 @@ class TestPoolLifetime:
                 child.kill()
                 child.join()
         assert _children() == workers
+        self.assert_idle_on(workers)
+
+    def test_a_raw_fork_child_makes_a_pool_of_its_own(self):
+        expected = palindromes_mod._brute_force_hits(10**5, 10, 1)
+        assert palindromes_mod._brute_force_hits(10**5, 10, 2) == expected
+        idle, workers = list(palindromes_mod._idle), _children()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report, and exit without running any hook
+            code = 1
+            try:
+                os.close(read_end)
+                inherited = len(palindromes_mod._idle)
+                hits = palindromes_mod._brute_force_hits(10**5, 10, 2)
+                own = sorted(set(palindromes_mod._shard_map(_pid, self.SHARDS, 2)))
+                palindromes_mod._drop_idle()
+                with os.fdopen(write_end, "w") as fh:
+                    json.dump([inherited, hits, own], fh)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        with os.fdopen(read_end) as fh:
+            report = fh.read()
+        assert os.waitpid(pid, 0)[1] == 0
+        inherited, hits, own = json.loads(report)
+        assert inherited == 0 and hits == expected
+        assert own and not set(own) & workers
+        assert palindromes_mod._idle == idle
+        self.assert_idle_on(workers)
+
+    def test_the_fork_hook_is_skipped_where_the_platform_has_none(self):
+        expected = palindromes_mod._brute_force_hits(10**5, 10, 1)
+        out = subprocess.run([sys.executable, "-c", _NO_AT_FORK], env=subprocess_env(),
+                             capture_output=True, text=True, timeout=120, check=True).stdout
+        assert out == f"{expected}\n"
+
+    def test_a_process_closing_a_call_early_keeps_its_workers(self):
+        proc = subprocess.Popen([sys.executable, "-c", _TWO_CALLS], env=subprocess_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        finally:
+            outlived = kill_group(proc.pid)
+        assert (proc.returncode, err) == (0, "")
+        first, after_first, second, after_second = (
+            {int(pid) for pid in line.split()} for line in out.splitlines())
+        assert len(after_first) == 2 and first | second <= after_first == after_second
+        assert not outlived, "a pool worker outlived the process"
 
 
 class TestFamilies:
